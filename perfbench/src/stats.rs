@@ -1,0 +1,44 @@
+//! Order statistics over timing samples.
+
+/// The median of `xs` (mean of the two middle values for an even count);
+/// `NaN` when `xs` is empty.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Nearest-rank percentile `q` in `(0, 1]` of `xs`; `NaN` when empty.
+pub fn percentile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let rank = (q * v.len() as f64).ceil() as usize;
+    v[rank.clamp(1, v.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_and_percentile() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.5), 50.0);
+        assert_eq!(percentile(&xs, 0.99), 99.0);
+        assert_eq!(percentile(&xs, 1.0), 100.0);
+        assert!(median(&[]).is_nan());
+    }
+}
