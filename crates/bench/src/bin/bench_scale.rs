@@ -274,6 +274,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "total_bytes",
                 "peak_chunk_bytes",
                 "modref_us",
+                "ssa_us",
                 "retjump_us",
                 "jump_us",
                 "solve_us",

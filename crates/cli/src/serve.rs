@@ -413,6 +413,7 @@ fn read_payload(
             }
             let mut timings = Object::new();
             timings.set("modref_us", Json::from(t.modref.wall.as_micros() as u64));
+            timings.set("ssa_us", Json::from(t.ssa.wall.as_micros() as u64));
             timings.set("retjump_us", Json::from(t.retjump.wall.as_micros() as u64));
             timings.set("jump_us", Json::from(t.jump.wall.as_micros() as u64));
             timings.set("solve_us", Json::from(t.solve.wall.as_micros() as u64));

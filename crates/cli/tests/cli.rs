@@ -663,3 +663,30 @@ fn reduce_without_a_failure_exits_1() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("does not reproduce"), "{err}");
 }
+
+#[test]
+fn serve_stats_time_every_phase() {
+    let path = write_temp("serve-stats", DEMO);
+    let mut child = ipcc()
+        .arg("serve")
+        .arg(&path)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b"{\"id\":1,\"op\":\"stats\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    for phase in ["modref", "ssa", "retjump", "jump", "solve"] {
+        assert!(
+            text.contains(&format!("\"{phase}_us\":")),
+            "{phase}: {text}"
+        );
+    }
+}

@@ -92,6 +92,18 @@ impl PhaseTime {
         self.absorbed += other.absorbed;
         self.replayed += other.replayed;
     }
+
+    /// Re-times a phase measured as parallel rounds (`self`, whose `wall`
+    /// and `busy` sum the rounds) to its whole wall time `wall`, rounds
+    /// plus the serial caller work between and after them (commits,
+    /// folds). That serial remainder counts as busy time on one
+    /// participant. On a sequential measurement (`wall == busy == 0`)
+    /// this yields exactly [`PhaseTime::sequential`].
+    pub fn spanning(mut self, wall: Duration) -> PhaseTime {
+        self.busy += wall.saturating_sub(self.wall);
+        self.wall = wall;
+        self
+    }
 }
 
 /// Per-stage timing for one analysis run, carried on
@@ -102,10 +114,13 @@ pub struct Timings {
     pub jobs: usize,
     /// MOD/REF direct-effects collection (per-procedure).
     pub modref: PhaseTime,
+    /// Minimal SSA construction, once per reachable procedure; `retjump`
+    /// and `jump` borrow the result. `units` counts the procedures built.
+    pub ssa: PhaseTime,
     /// Return jump-function construction (per-SCC, level-scheduled).
     pub retjump: PhaseTime,
-    /// SSA + symbolic evaluation and forward jump functions
-    /// (per-procedure / per-caller).
+    /// Symbolic evaluation (pruned SSA too, under `pruned_ssa`) and
+    /// forward jump functions (per-procedure / per-caller).
     pub jump: PhaseTime,
     /// The interprocedural VAL solve (wavefront over the SCC levels of
     /// the call-graph condensation; parallel within each level).
@@ -120,31 +135,34 @@ impl Timings {
     pub fn absorb(&mut self, other: Timings) {
         self.jobs = self.jobs.max(other.jobs);
         self.modref.absorb(other.modref);
+        self.ssa.absorb(other.ssa);
         self.retjump.absorb(other.retjump);
         self.jump.absorb(other.jump);
         self.solve.absorb(other.solve);
         self.total += other.total;
     }
 
-    /// Combined wall time of the three per-procedure phases — the part
+    /// Combined wall time of the four per-procedure phases — the part
     /// `--jobs` parallelizes.
     pub fn per_proc_wall(&self) -> Duration {
-        self.modref.wall + self.retjump.wall + self.jump.wall
+        self.modref.wall + self.ssa.wall + self.retjump.wall + self.jump.wall
     }
 
     /// Busy-time-weighted utilization over the per-procedure phases.
     pub fn utilization(&self) -> f64 {
         let mut agg = self.modref;
+        agg.absorb(self.ssa);
         agg.absorb(self.retjump);
         agg.absorb(self.jump);
         agg.utilization()
     }
 
-    /// The four phases as named rows in pipeline order — the shape the
+    /// The five phases as named rows in pipeline order — the shape the
     /// bench binaries serialize.
-    pub fn stages(&self) -> [(&'static str, PhaseTime); 4] {
+    pub fn stages(&self) -> [(&'static str, PhaseTime); 5] {
         [
             ("modref", self.modref),
+            ("ssa", self.ssa),
             ("retjump", self.retjump),
             ("jump", self.jump),
             ("solve", self.solve),
@@ -740,5 +758,33 @@ mod tests {
         assert_eq!(t.modref.units, 8);
         assert_eq!(t.total, Duration::from_millis(10));
         assert!(t.per_proc_wall() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn spanning_counts_serial_work_as_busy() {
+        // Two parallel rounds of 3 ms wall / 5 ms busy each, inside a
+        // phase whose whole wall was 10 ms: the 4 ms between and after
+        // the rounds ran on one participant.
+        let mut rounds = PhaseTime::default();
+        for _ in 0..2 {
+            rounds.absorb(PhaseTime {
+                wall: Duration::from_millis(3),
+                busy: Duration::from_millis(5),
+                workers: 2,
+                units: 4,
+                absorbed: 0,
+                replayed: 0,
+            });
+        }
+        let phase = rounds.spanning(Duration::from_millis(10));
+        assert_eq!(phase.wall, Duration::from_millis(10));
+        assert_eq!(phase.busy, Duration::from_millis(14));
+        assert_eq!((phase.workers, phase.units), (2, 8));
+        // A sequential measurement spans to exactly `sequential`.
+        let seq = PhaseTime::sequential(Duration::ZERO, 7);
+        assert_eq!(
+            seq.spanning(Duration::from_millis(4)),
+            PhaseTime::sequential(Duration::from_millis(4), 7)
+        );
     }
 }

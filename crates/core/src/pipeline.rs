@@ -1,6 +1,7 @@
 //! The four-stage pipeline of §4.1: generate return jump functions,
 //! generate forward jump functions, propagate interprocedurally, record
-//! the results.
+//! the results. Ahead of it run MOD/REF and the SSA stage, which builds
+//! each procedure's SSA form once for both jump-function generators.
 
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
@@ -9,7 +10,7 @@ use crate::jump::{
     build_forward_jump_fns, build_forward_jump_fns_par, ForwardJumpFns, ProcSymbolic,
 };
 use crate::par::{PhaseTime, Timings};
-use crate::retjump::{build_return_jfs, build_return_jfs_par, RetOracle, ReturnJumpFns};
+use crate::retjump::{build_return_jfs_par, return_jfs_over, RetOracle, ReturnJumpFns};
 use crate::solver::ValSets;
 use crate::substitute::{self, Substitution};
 use ipcp_analysis::{
@@ -17,9 +18,9 @@ use ipcp_analysis::{
 };
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
-use ipcp_ssa::sccp::{CallDefLattice, OpaqueCallsLattice};
-use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, WorstCaseKills};
-use ipcp_ssa::symbolic::{EvalBudget, OpaqueCalls};
+use ipcp_ssa::sccp::{CallDefLattice, OpaqueCallsLattice, SccpResult};
+use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, SsaProc, WorstCaseKills};
+use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, OpaqueCalls, Symbolic};
 use ipcp_ssa::Lattice;
 use std::fmt;
 use std::time::Instant;
@@ -192,16 +193,23 @@ impl Analysis {
         // and parked between rounds, so every phase (and every gating
         // round) reuses them instead of paying a spawn/join per level.
         crate::par::with_pool(config.effective_jobs(), |pool| {
-            Self::run_on(mcfg, config, pool)
+            Self::run_on(mcfg, config, pool, &build_ssa)
         })
     }
 
-    fn run_on(mcfg: &ModuleCfg, config: &Config, pool: &crate::par::Pool<'_>) -> Analysis {
-        let mut analysis = Self::run_once_on(mcfg, config, None, pool);
+    /// [`Analysis::run`] on a caller-provided pool, building each
+    /// procedure's SSA form with `ssa_builder`.
+    pub(crate) fn run_on(
+        mcfg: &ModuleCfg,
+        config: &Config,
+        pool: &crate::par::Pool<'_>,
+        ssa_builder: &SsaBuilder<'_>,
+    ) -> Analysis {
+        let mut analysis = Self::run_once_on(mcfg, config, None, pool, ssa_builder);
         if config.gated_jump_fns {
             for _ in 0..4 {
                 let vals = analysis.vals.vals.clone();
-                let mut next = Self::run_once_on(mcfg, config, Some(&vals), pool);
+                let mut next = Self::run_once_on(mcfg, config, Some(&vals), pool, ssa_builder);
                 let stable = next.vals.vals == analysis.vals.vals;
                 // Telemetry accumulates across gating rounds. `absorb` is
                 // order-preserving concatenation (associative, documented
@@ -226,6 +234,7 @@ impl Analysis {
         config: &Config,
         gate_seeds: Option<&Vec<Vec<Lattice>>>,
         pool: &crate::par::Pool<'_>,
+        ssa_builder: &SsaBuilder<'_>,
     ) -> Analysis {
         let t_run = Instant::now();
         let jobs = config.effective_jobs();
@@ -321,7 +330,7 @@ impl Analysis {
                 mods.push(m);
                 refs.push(r);
             }
-            timings.modref = pt;
+            timings.modref = pt.spanning(t0.elapsed());
         }
         let modref = propagate_modref(mcfg, &cg, mods, refs);
 
@@ -332,102 +341,73 @@ impl Analysis {
             &WorstCaseKills
         };
 
-        // Stage 1: return jump functions (bottom-up over the call graph;
+        // Stage 1: minimal SSA, once per reachable procedure that MOD/REF
+        // left unquarantined. It depends only on the kills, so it has no
+        // ordering constraint; both jump-function phases borrow it.
+        let ssas = if runs_ssa_stage(config) {
+            let (ssas, pt) = build_ssa_stage(&cg, config, &quarantined, pool, &|p| {
+                ssa_builder(mcfg, p, kills)
+            });
+            timings.ssa = pt;
+            ssas
+        } else {
+            (0..n_procs).map(|_| None).collect()
+        };
+
+        // Stage 2: return jump functions (bottom-up over the call graph;
         // parallel over the SCC levels of the condensation).
         let t1 = Instant::now();
-        let ret_jfs = if !config.use_return_jfs {
-            ReturnJumpFns {
+        let (ret_jfs, mut handoff) = if !config.use_return_jfs {
+            let table = ReturnJumpFns {
                 fns: vec![None; n_procs],
                 compose: false,
-            }
+            };
+            (table, Vec::new())
         } else if !pool.parallel() {
-            let t = build_return_jfs(
+            let (table, syms) = return_jfs_over(
                 mcfg,
                 &cg,
                 &layout,
-                kills,
+                &ssas,
                 config,
                 &mut quarantined,
                 &mut gov,
             );
             timings.retjump = PhaseTime::sequential(t1.elapsed(), cg.bottom_up().count());
-            t
+            (table, syms)
         } else {
-            let (t, pt) = build_return_jfs_par(
+            let (table, syms, pt) = build_return_jfs_par(
                 mcfg,
                 &cg,
                 &layout,
-                kills,
+                &ssas,
                 config,
                 &mut quarantined,
                 &mut gov,
                 pool,
             );
             timings.retjump = pt;
-            t
+            (table, syms)
         };
 
-        // Stage 2: per-procedure SSA + symbolic evaluation, then forward
-        // jump functions (top-down conceptually; order is irrelevant since
-        // return jump functions are already fixed). The symbolic units
-        // charge nothing — step budgets are enforced inside the evaluator
-        // — so the parallel fold only replays the *recording* of outcomes
-        // in procedure order.
+        // Stage 3: per-procedure symbolic evaluation, then forward jump
+        // functions (top-down conceptually; order is irrelevant since
+        // return jump functions are already fixed). A procedure whose
+        // return-JF evaluation was handed off skips its evaluation here
+        // (see `reuses_ret_symbolic`). The symbolic units charge nothing
+        // — step budgets are enforced inside the evaluator — so the fold
+        // only replays the *recording* of outcomes in procedure order.
         let t2 = Instant::now();
         let latch = std::sync::Arc::clone(gov.latch());
         let max_steps = gov.limits().max_symbolic_steps;
         let deadline = config.deadline.map(|d| d.instant());
-        let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::new();
-        if !pool.parallel() {
-            for pi in 0..n_procs {
-                // A procedure quarantined by an earlier phase contributes
-                // no symbolic form: its call sites get explicit all-⊥ jump
-                // functions below, and re-running its unit here would fire
-                // the same fault twice.
-                if !cg.reachable[pi] || quarantined[pi] {
-                    symbolics.push(None);
-                    continue;
-                }
-                let budget = EvalBudget {
-                    max_steps,
-                    deadline,
-                    latch: Some(&latch),
-                };
-                let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-                    build_proc_symbolic(
-                        mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
-                    )
-                });
-                commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
-            }
-            let jump_fns = build_forward_jump_fns(
-                mcfg,
-                &cg,
-                &layout,
-                config,
-                &symbolics,
-                &mut quarantined,
-                &mut gov,
-            );
-            timings.jump = PhaseTime::sequential(t2.elapsed(), n_procs);
-            return Self::finish_on(
-                mcfg,
-                config,
-                cg,
-                modref,
-                layout,
-                ret_jfs,
-                symbolics,
-                jump_fns,
-                gov,
-                quarantined,
-                timings,
-                t_run,
-                pool,
-            );
-        }
+        let handed_off = |pi: usize| handoff.get(pi).is_some_and(Option::is_some);
         let (units, mut pt) = pool.run(n_procs, |pi| {
-            if !cg.reachable[pi] || quarantined[pi] {
+            // A procedure quarantined by an earlier phase contributes no
+            // symbolic form: its call sites get explicit all-⊥ jump
+            // functions below, and re-running its unit here would fire
+            // the same fault twice.
+            if !cg.reachable[pi] || quarantined[pi] || handed_off(pi) {
                 return None;
             }
             let budget = EvalBudget {
@@ -435,32 +415,74 @@ impl Analysis {
                 deadline,
                 latch: Some(&latch),
             };
-            Some(crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-                build_proc_symbolic(
-                    mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
-                )
-            }))
+            Some(run_symbolic_unit(
+                mcfg,
+                config,
+                &layout,
+                kills,
+                &ret_jfs,
+                gate_seeds,
+                pi,
+                ssas[pi].as_ref(),
+                &budget,
+            ))
         });
-        for (pi, unit) in units.into_iter().enumerate() {
-            match unit {
-                None => symbolics.push(None),
-                Some(u) => {
-                    commit_symbolic_unit(mcfg, pi, u, &mut symbolics, &mut quarantined, &mut gov);
+        let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::with_capacity(n_procs);
+        for (pi, (unit, slot)) in units.into_iter().zip(ssas).enumerate() {
+            let unit = match (unit, handoff.get_mut(pi).and_then(Option::take)) {
+                (Some(unit), _) => unit,
+                // The unit's injection hook still fires, exactly as when
+                // it evaluated.
+                (None, Some(sym)) => {
+                    crate::quarantine::run_unit(config, Stage::Jump, pi, || SymbolicUnit {
+                        sym,
+                        gate: None,
+                        steps_exhausted: false,
+                        own_ssa: None,
+                    })
                 }
-            }
+                (None, None) => {
+                    symbolics.push(None);
+                    continue;
+                }
+            };
+            let stage_ssa = slot.and_then(Result::ok);
+            commit_symbolic_unit(
+                mcfg,
+                pi,
+                unit,
+                stage_ssa,
+                &mut symbolics,
+                &mut quarantined,
+                &mut gov,
+            );
         }
-        let (jump_fns, pt_fwd) = build_forward_jump_fns_par(
-            mcfg,
-            &cg,
-            &layout,
-            config,
-            &symbolics,
-            &mut quarantined,
-            &mut gov,
-            pool,
-        );
-        pt.absorb(pt_fwd);
-        timings.jump = pt;
+        let jump_fns = if !pool.parallel() {
+            build_forward_jump_fns(
+                mcfg,
+                &cg,
+                &layout,
+                config,
+                &symbolics,
+                &mut quarantined,
+                &mut gov,
+            )
+        } else {
+            let (jump_fns, pt_fwd) = build_forward_jump_fns_par(
+                mcfg,
+                &cg,
+                &layout,
+                config,
+                &symbolics,
+                &mut quarantined,
+                &mut gov,
+                pool,
+            );
+            pt.absorb(pt_fwd);
+            jump_fns
+        };
+        pt.units = n_procs;
+        timings.jump = pt.spanning(t2.elapsed());
         Self::finish_on(
             mcfg,
             config,
@@ -634,10 +656,117 @@ pub(crate) fn commit_modref_unit(
     }
 }
 
-/// One procedure's SSA + gate + symbolic evaluation — the Stage::Jump
-/// unit of work, shared by the sequential loop and the parallel workers.
+/// One procedure's entry in the SSA stage's output: `None` when the stage
+/// skipped it (unreachable, or already quarantined by MOD/REF), otherwise
+/// its minimal SSA form or the contained failure of building it.
+pub(crate) type SsaSlot = Option<Result<SsaProc, UnitError>>;
+
+/// Builds one procedure's SSA form — [`build_ssa`] in production; the
+/// pipeline takes it as a parameter so tests can fault the SSA stage.
+pub(crate) type SsaBuilder<'a> = dyn Fn(&ModuleCfg, ProcId, &dyn CallKills) -> SsaProc + Sync + 'a;
+
+/// Whether the pipeline runs the shared SSA stage: return jump functions
+/// always read minimal SSA, and the forward phase does unless
+/// `pruned_ssa` has it build its own pruned form.
+fn runs_ssa_stage(config: &Config) -> bool {
+    config.use_return_jfs || !config.pruned_ssa
+}
+
+/// Whether the forward phase reuses the symbolic evaluation that return
+/// jump functions computed, instead of evaluating again.
+///
+/// Both phases evaluate the same SSA under the same oracle — outside
+/// recursion, every callee's return jump functions are final when the
+/// bottom-up walk reaches a procedure. So the two evaluations agree
+/// exactly when nothing else differs: return jump functions are on (the
+/// forward phase uses their oracle), no gate prunes the forward
+/// evaluation, both read minimal SSA, and no wall-clock deadline can cut
+/// one of them short. The return-JF side additionally hands off only
+/// non-recursive procedures whose evaluation finished within its step
+/// slice; everything else is evaluated again, as before.
+pub(crate) fn reuses_ret_symbolic(config: &Config) -> bool {
+    config.use_return_jfs
+        && !config.gated_jump_fns
+        && !config.pruned_ssa
+        && config.deadline.is_none()
+}
+
+/// The stage a failure to build a procedure's shared SSA form is charged
+/// to: its first consumer, which used to build the form inside its own
+/// unit. [`run_ssa_unit`] replays the failure as that unit's, with the
+/// same event and quarantine.
+fn ssa_stage_owner(config: &Config) -> Stage {
+    if config.use_return_jfs {
+        Stage::RetJump
+    } else {
+        Stage::Jump
+    }
+}
+
+/// The SSA stage: builds the minimal SSA form of every reachable,
+/// unquarantined procedure, one pool unit per procedure, each under
+/// containment. A contained failure is stored in the slot, not recorded:
+/// the consuming unit records it at its own place in its phase's order.
+/// The returned [`PhaseTime`] counts the procedures built as its units.
+pub(crate) fn build_ssa_stage(
+    cg: &CallGraph,
+    config: &Config,
+    quarantined: &[bool],
+    pool: &crate::par::Pool<'_>,
+    build: &(dyn Fn(ProcId) -> SsaProc + Sync),
+) -> (Vec<SsaSlot>, PhaseTime) {
+    let owner = ssa_stage_owner(config);
+    let (slots, mut pt) = pool.run(quarantined.len(), |pi| {
+        (cg.reachable[pi] && !quarantined[pi]).then(|| {
+            crate::quarantine::run_contained(config, owner, pi, || build(ProcId::from(pi)))
+        })
+    });
+    pt.units = slots.iter().filter(|s| s.is_some()).count();
+    (slots, pt)
+}
+
+/// Runs `stage`'s unit for procedure `pi` over its SSA slot. The unit's
+/// injection hook fires first, exactly as when the unit built its own
+/// SSA; then a contained SSA failure (or a missing form) surfaces as this
+/// unit's own failure.
+pub(crate) fn run_ssa_unit<T>(
+    config: &Config,
+    stage: Stage,
+    pi: usize,
+    ssa: Option<&Result<SsaProc, UnitError>>,
+    f: impl FnOnce(&SsaProc) -> T,
+) -> Result<T, UnitError> {
+    match ssa {
+        Some(Ok(ssa)) => crate::quarantine::run_unit(config, stage, pi, || f(ssa)),
+        Some(Err(e)) => crate::quarantine::run_unit(config, stage, pi, || ())
+            .and(Err(UnitError::new(stage, pi, e.message.clone()))),
+        None => crate::quarantine::run_unit(config, stage, pi, || ()).and(Err(UnitError::new(
+            stage,
+            pi,
+            "no SSA form was built",
+        ))),
+    }
+}
+
+/// A Stage::Jump symbolic unit's products, before commit.
+#[derive(Debug)]
+pub(crate) struct SymbolicUnit {
+    /// Polynomial symbolic evaluation.
+    pub sym: Symbolic,
+    /// The gating SCCP fixpoint, when gating is on.
+    pub gate: Option<SccpResult>,
+    /// Whether the evaluation exhausted its step slice or the deadline.
+    pub steps_exhausted: bool,
+    /// The pruned SSA form the unit built itself (`pruned_ssa`); `None`
+    /// when it evaluated the SSA stage's form, which commit moves in.
+    pub own_ssa: Option<SsaProc>,
+}
+
+/// One procedure's Stage::Jump symbolic unit, under quarantine: gate and
+/// symbolic evaluation over the stage's SSA slot — or, under
+/// `pruned_ssa`, over a pruned form the unit builds itself.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_proc_symbolic(
+pub(crate) fn run_symbolic_unit(
     mcfg: &ModuleCfg,
     config: &Config,
     layout: &SlotLayout,
@@ -645,13 +774,43 @@ pub(crate) fn build_proc_symbolic(
     ret_jfs: &ReturnJumpFns,
     gate_seeds: Option<&Vec<Vec<Lattice>>>,
     pi: usize,
+    ssa: Option<&Result<SsaProc, UnitError>>,
     budget: &EvalBudget<'_>,
-) -> (ProcSymbolic, bool) {
+) -> Result<SymbolicUnit, UnitError> {
+    let eval = |ssa: &SsaProc| {
+        eval_proc_symbolic(mcfg, config, layout, ret_jfs, gate_seeds, pi, ssa, budget)
+    };
+    if config.pruned_ssa {
+        return crate::quarantine::run_unit(config, Stage::Jump, pi, || {
+            let ssa = build_ssa_pruned(mcfg, ProcId::from(pi), kills);
+            let unit = eval(&ssa);
+            SymbolicUnit {
+                own_ssa: Some(ssa),
+                ..unit
+            }
+        });
+    }
+    run_ssa_unit(config, Stage::Jump, pi, ssa, eval)
+}
+
+/// Gate (when configured) and symbolic evaluation of one procedure's SSA
+/// form — the body of the Stage::Jump symbolic unit.
+#[allow(clippy::too_many_arguments)]
+fn eval_proc_symbolic(
+    mcfg: &ModuleCfg,
+    config: &Config,
+    layout: &SlotLayout,
+    ret_jfs: &ReturnJumpFns,
+    gate_seeds: Option<&Vec<Vec<Lattice>>>,
+    pi: usize,
+    ssa: &SsaProc,
+    budget: &EvalBudget<'_>,
+) -> SymbolicUnit {
     let p = ProcId::from(pi);
-    let ssa = if config.pruned_ssa {
-        build_ssa_pruned(mcfg, p, kills)
-    } else {
-        build_ssa(mcfg, p, kills)
+    let oracle = RetOracle {
+        table: ret_jfs,
+        mcfg,
+        layout,
     };
     // Gate (extension): an unseeded SCCP pass whose executability
     // facts prune phi inputs and dead call sites, approximating
@@ -663,46 +822,46 @@ pub(crate) fn build_proc_symbolic(
             None => ipcp_ssa::Seeds::none(n_vars),
         };
         let res = if config.use_return_jfs {
-            let oracle = RetOracle {
-                table: ret_jfs,
-                mcfg,
-                layout,
-            };
-            ipcp_ssa::sccp::run(mcfg, &ssa, &seeds, &oracle)
+            ipcp_ssa::sccp::run(mcfg, ssa, &seeds, &oracle)
         } else {
-            ipcp_ssa::sccp::run(mcfg, &ssa, &seeds, &OpaqueCallsLattice)
+            ipcp_ssa::sccp::run(mcfg, ssa, &seeds, &OpaqueCallsLattice)
         };
         Some(res)
     } else {
         None
     };
-    let (sym, steps_exhausted) = if config.use_return_jfs {
-        let oracle = RetOracle {
-            table: ret_jfs,
-            mcfg,
-            layout,
-        };
-        ipcp_ssa::symbolic::evaluate_under(mcfg, &ssa, layout, &oracle, gate.as_ref(), budget)
+    let calls: &dyn CallDefEval = if config.use_return_jfs {
+        &oracle
     } else {
-        ipcp_ssa::symbolic::evaluate_under(mcfg, &ssa, layout, &OpaqueCalls, gate.as_ref(), budget)
+        &OpaqueCalls
     };
-    (ProcSymbolic { ssa, sym, gate }, steps_exhausted)
+    let (sym, steps_exhausted) =
+        ipcp_ssa::symbolic::evaluate_under(mcfg, ssa, layout, calls, gate.as_ref(), budget);
+    SymbolicUnit {
+        sym,
+        gate,
+        steps_exhausted,
+        own_ssa: None,
+    }
 }
 
 /// Commits one symbolic unit outcome into `symbolics`, recording the
 /// deadline/step-slice/panic events exactly as the sequential loop would.
+/// `stage_ssa` is the SSA stage's form of the procedure, moved into the
+/// committed [`ProcSymbolic`] unless the unit built its own.
 pub(crate) fn commit_symbolic_unit(
     mcfg: &ModuleCfg,
     pi: usize,
-    unit: Result<(ProcSymbolic, bool), UnitError>,
+    unit: Result<SymbolicUnit, UnitError>,
+    stage_ssa: Option<SsaProc>,
     symbolics: &mut Vec<Option<ProcSymbolic>>,
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) {
     let name = &mcfg.module.procs[pi].name;
     match unit {
-        Ok((ps, steps_exhausted)) => {
-            if steps_exhausted {
+        Ok(u) => {
+            if u.steps_exhausted {
                 if gov.deadline_expired() {
                     gov.record_deadline(
                         Stage::Jump,
@@ -721,7 +880,14 @@ pub(crate) fn commit_symbolic_unit(
                     );
                 }
             }
-            symbolics.push(Some(ps));
+            let Some(ssa) = u.own_ssa.or(stage_ssa) else {
+                unreachable!("a symbolic unit evaluated an SSA form that was never built")
+            };
+            symbolics.push(Some(ProcSymbolic {
+                ssa,
+                sym: u.sym,
+                gate: u.gate,
+            }));
         }
         Err(e) => {
             quarantined[pi] = true;
@@ -889,6 +1055,61 @@ mod tests {
         );
         let without = Analysis::run(&mcfg, &Config::default().with_return_jfs(false));
         assert!(without.constants_of(&mcfg, use_p).is_empty());
+    }
+
+    #[test]
+    fn ssa_stage_panic_degrades_like_its_consumer_unit() {
+        use crate::serve::incremental::same_results;
+        let src = "global g; \
+                   proc main() { g = 1; call f(2); call h(3); } \
+                   proc f(a) { g = a + 1; call h(a); } \
+                   proc h(b) { print b + g; }";
+        let mcfg = ipcp_ir::lower_module(&ipcp_ir::parse_and_resolve(src).unwrap());
+        let f = mcfg.module.proc_named("f").unwrap().id.index();
+        // The SSA stage's failure is charged to its first consumer: the
+        // return-JF unit when return jump functions are on, the forward
+        // jump-function unit otherwise.
+        for (config, stage) in [
+            (Config::default(), Stage::RetJump),
+            (Config::default().with_return_jfs(false), Stage::Jump),
+            (
+                Config::builder().pruned_ssa(true).build().unwrap(),
+                Stage::RetJump,
+            ),
+        ] {
+            for jobs in [1, 2] {
+                let config = config.with_jobs(jobs);
+                // Panics with the injection hook's own message, so the
+                // two runs must agree event for event.
+                let faulty = |m: &ModuleCfg, p: ProcId, kills: &dyn CallKills| {
+                    assert!(
+                        p.index() != f,
+                        "injected panic ({} stage, procedure #{f})",
+                        stage.label()
+                    );
+                    build_ssa(m, p, kills)
+                };
+                let got = crate::par::with_pool(jobs, |pool| {
+                    Analysis::run_on(&mcfg, &config, pool, &faulty)
+                });
+                let want = Analysis::run(&mcfg, &config.with_panic(stage, f));
+                assert!(same_results(&got, &want), "{stage:?} at jobs={jobs}");
+                let quarantined: Vec<usize> = (0..got.quarantined.len())
+                    .filter(|&p| got.quarantined[p])
+                    .collect();
+                assert_eq!(quarantined, vec![f], "only the faulty procedure degrades");
+                let events = &got.health.events;
+                assert_eq!(events.len(), 1, "{events:?}");
+                assert_eq!(events[0].stage, stage);
+                assert!(
+                    events[0]
+                        .detail
+                        .starts_with("f: panic contained (injected panic"),
+                    "{}",
+                    events[0].detail
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,15 +81,27 @@ pub fn run_unit<T>(
     proc_index: usize,
     f: impl FnOnce() -> T,
 ) -> Result<T, UnitError> {
-    if !config.quarantine {
-        maybe_inject(config, stage, proc_index);
-        return Ok(f());
-    }
-    quiet_catch(|| {
+    run_contained(config, stage, proc_index, || {
         maybe_inject(config, stage, proc_index);
         f()
     })
-    .map_err(|msg| UnitError::new(stage, proc_index, msg))
+}
+
+/// [`run_unit`] without the injection hook: the containment boundary of
+/// work that is *attributed* to `stage` but is not that stage's unit —
+/// the shared SSA stage, whose failures surface later as the consuming
+/// stage's own unit failure, while `--inject-panic <stage>:N` keeps
+/// firing inside the consuming unit.
+pub(crate) fn run_contained<T>(
+    config: &Config,
+    stage: Stage,
+    proc_index: usize,
+    f: impl FnOnce() -> T,
+) -> Result<T, UnitError> {
+    if !config.quarantine {
+        return Ok(f());
+    }
+    quiet_catch(f).map_err(|msg| UnitError::new(stage, proc_index, msg))
 }
 
 /// Runs `f` under `catch_unwind` with the backtrace-suppressing hook —

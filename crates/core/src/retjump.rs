@@ -19,17 +19,17 @@
 use crate::config::{Config, Stage};
 use crate::health::Governor;
 use crate::jump::JumpFn;
-use crate::par::Pool;
-use crate::pipeline::{PhaseFold, PhaseUnit};
-use crate::quarantine::run_unit;
+use crate::par::{PhaseTime, Pool};
+use crate::pipeline::{build_ssa_stage, run_ssa_unit, PhaseFold, PhaseUnit, SsaSlot};
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout, VarId};
 use ipcp_ssa::lattice::Lattice;
 use ipcp_ssa::poly::Poly;
 use ipcp_ssa::sccp::CallDefLattice;
-use ipcp_ssa::ssa::{build_ssa, CallKills};
-use ipcp_ssa::symbolic::{evaluate_budgeted, CallDefEval, RetTarget, SymVal};
+use ipcp_ssa::ssa::{build_ssa, CallKills, SsaProc};
+use ipcp_ssa::symbolic::{evaluate_budgeted, CallDefEval, RetTarget, SymVal, Symbolic};
+use std::time::Instant;
 
 /// The return jump functions of a whole program: `fns[p][slot]`.
 ///
@@ -101,17 +101,17 @@ impl RetOracle<'_> {
             global_syms.get(v - arity).unwrap_or(&SymVal::Bottom)
         }
     }
-}
 
-impl CallDefEval for RetOracle<'_> {
-    fn eval_call_def(
+    /// The symbolic value a call to `callee` leaves in the slot whose
+    /// return jump function is `jf` (`None`: not built yet, so ⊥).
+    fn eval_sym(
         &self,
+        jf: Option<&JumpFn>,
         callee: ProcId,
-        target: RetTarget,
         arg_syms: &[SymVal],
         global_syms: &[SymVal],
     ) -> SymVal {
-        let Some(jf) = self.jf_for(callee, target) else {
+        let Some(jf) = jf else {
             return SymVal::Bottom;
         };
         let arity = self.mcfg.module.proc(callee).arity();
@@ -168,6 +168,18 @@ impl CallDefEval for RetOracle<'_> {
     }
 }
 
+impl CallDefEval for RetOracle<'_> {
+    fn eval_call_def(
+        &self,
+        callee: ProcId,
+        target: RetTarget,
+        arg_syms: &[SymVal],
+        global_syms: &[SymVal],
+    ) -> SymVal {
+        self.eval_sym(self.jf_for(callee, target), callee, arg_syms, global_syms)
+    }
+}
+
 impl CallDefLattice for RetOracle<'_> {
     fn eval_call_def(
         &self,
@@ -194,14 +206,78 @@ impl CallDefLattice for RetOracle<'_> {
     }
 }
 
+/// The call-side view of one recursive SCC while a parallel unit builds
+/// its members: the members' fresh entries (in build order) over the
+/// table the lower levels committed. This is exactly what the sequential
+/// driver's in-place table shows a member — built siblings are visible,
+/// unbuilt ones are not — without a private copy of the whole table per
+/// SCC.
+struct SccOracle<'a> {
+    base: RetOracle<'a>,
+    scc_of: &'a [usize],
+    scc: usize,
+    fresh: &'a [(ProcId, Vec<JumpFn>)],
+}
+
+impl CallDefEval for SccOracle<'_> {
+    fn eval_call_def(
+        &self,
+        callee: ProcId,
+        target: RetTarget,
+        arg_syms: &[SymVal],
+        global_syms: &[SymVal],
+    ) -> SymVal {
+        let jf = if self.scc_of[callee.index()] == self.scc {
+            let base = &self.base;
+            self.fresh
+                .iter()
+                .find(|(q, _)| *q == callee)
+                .and_then(|(_, fns)| {
+                    let slot = base
+                        .table
+                        .target_slot(base.mcfg, callee, target, base.layout)?;
+                    fns.get(slot)
+                })
+        } else {
+            self.base.jf_for(callee, target)
+        };
+        self.base.eval_sym(jf, callee, arg_syms, global_syms)
+    }
+}
+
+/// One procedure's slice of the bottom-up walk, as the drivers commit it.
+#[derive(Debug)]
+pub(crate) struct MemberOut {
+    /// The return jump function of every entry slot.
+    pub fns: Vec<JumpFn>,
+    /// Whether the slice newly quarantined the procedure.
+    pub newly_quarantined: bool,
+    /// The slice's symbolic evaluation, handed to the forward phase for
+    /// reuse. Kept only when the caller asked for it and the evaluation
+    /// ran to completion.
+    pub sym: Option<Symbolic>,
+}
+
+impl MemberOut {
+    fn bottom(n_slots: usize, newly_quarantined: bool) -> MemberOut {
+        MemberOut {
+            fns: vec![JumpFn::Bottom; n_slots],
+            newly_quarantined,
+            sym: None,
+        }
+    }
+}
+
 /// Builds return jump functions for every reachable procedure, bottom-up
 /// over the call graph SCCs.
 ///
 /// `kills` supplies the call-effect assumption (MOD-precise or worst-case)
 /// — the same oracle later used for forward jump functions, so both layers
-/// see one consistent world.
+/// see one consistent world. This entry point builds each procedure's SSA
+/// form itself; the pipeline builds it once in its SSA stage and shares it
+/// with the forward phase instead.
 ///
-/// Each procedure's slice (SSA build, symbolic evaluation, slot
+/// Each procedure's slice (symbolic evaluation over its SSA form, slot
 /// classification) is a quarantine unit: a panic or a per-unit budget
 /// exhaustion degrades only that procedure's return jump functions to ⊥
 /// (marking it in `quarantined`), while every other procedure keeps full
@@ -216,40 +292,78 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
+    let (ssas, _) = crate::par::with_pool(1, |pool| {
+        build_ssa_stage(cg, config, quarantined, pool, &|p| {
+            build_ssa(mcfg, p, kills)
+        })
+    });
+    return_jfs_over(mcfg, cg, layout, &ssas, config, quarantined, gov).0
+}
+
+/// The sequential driver over the SSA stage's output (`ssas[p]` is
+/// procedure `p`'s slot). Besides the table it returns, per procedure,
+/// the symbolic evaluation handed to the forward phase (see
+/// [`crate::pipeline::reuses_ret_symbolic`]).
+pub(crate) fn return_jfs_over(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    ssas: &[SsaSlot],
+    config: &Config,
+    quarantined: &mut [bool],
+    gov: &mut Governor,
+) -> (ReturnJumpFns, Vec<Option<Symbolic>>) {
+    let n_procs = mcfg.module.procs.len();
     let mut table = ReturnJumpFns {
-        fns: vec![None; mcfg.module.procs.len()],
+        fns: vec![None; n_procs],
         compose: config.compose_return_jfs,
     };
+    let mut syms: Vec<Option<Symbolic>> = (0..n_procs).map(|_| None).collect();
     for p in cg.bottom_up() {
-        let (fns, newly_quarantined) = run_scc_member(
+        let oracle = RetOracle {
+            table: &table,
             mcfg,
-            &table,
             layout,
-            kills,
+        };
+        let out = run_scc_member(
+            mcfg,
+            &oracle,
+            layout,
+            ssas[p.index()].as_ref(),
             config,
             p,
             quarantined[p.index()],
+            keeps_symbolic(config, cg, p),
             gov,
         );
-        if newly_quarantined {
+        if out.newly_quarantined {
             quarantined[p.index()] = true;
         }
-        table.fns[p.index()] = Some(fns);
+        table.fns[p.index()] = Some(out.fns);
+        syms[p.index()] = out.sym;
     }
-    table
+    (table, syms)
 }
 
-/// Parallel [`build_return_jfs`].
+/// Whether `p`'s return-JF evaluation is final and will be reused by the
+/// forward phase: the configuration reuses it, and `p` is not recursive
+/// — so every callee's entry was complete when `p` was evaluated, exactly
+/// as the forward phase would see it.
+fn keeps_symbolic(config: &Config, cg: &CallGraph, p: ProcId) -> bool {
+    crate::pipeline::reuses_ret_symbolic(config) && !cg.is_recursive(p)
+}
+
+/// Parallel [`return_jfs_over`].
 ///
 /// Return jump functions are the one per-procedure phase with *data*
 /// dependences: a procedure's construction reads the (already built)
 /// tables of its callees. The schedule follows the call-graph
 /// condensation: each SCC is one unit (members may read each other's
-/// fresh entries, so they stay sequential inside the unit), and units run
-/// level by level — level 0 is the leaf SCCs, level `k` depends only on
-/// levels `< k` — with each unit charging a governor shard
-/// optimistically. Between levels the optimistic tables are committed so
-/// the next level can read them.
+/// fresh entries, through an overlay, so they stay sequential inside the
+/// unit), and units run level by level — level 0 is the leaf SCCs, level
+/// `k` depends only on levels `< k` — with each unit charging a governor
+/// shard optimistically. Between levels the optimistic entries are moved
+/// into the shared table so the next level can read them.
 ///
 /// The fold then walks SCCs in the exact bottom-up (Tarjan emission)
 /// order the sequential driver uses. A unit is absorbed as-is when (a) no
@@ -259,73 +373,81 @@ pub fn build_return_jfs(
 /// sequentially against the final table and master governor, and the
 /// difference (if any) propagates to its dependents through `changed`.
 /// Results, telemetry, and quarantine flags are bit-identical to the
-/// sequential driver.
+/// sequential driver. The returned [`PhaseTime`] spans the whole phase:
+/// the level rounds and the serial commits and fold between them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_par(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
     layout: &SlotLayout,
-    kills: &(dyn CallKills + Sync),
+    ssas: &[SsaSlot],
     config: &Config,
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: &Pool<'_>,
-) -> (ReturnJumpFns, crate::par::PhaseTime) {
+) -> (ReturnJumpFns, Vec<Option<Symbolic>>, PhaseTime) {
+    let start = Instant::now();
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
     let snapshot: Vec<bool> = quarantined.to_vec();
     let proto = gov.shard();
     let compose = config.compose_return_jfs;
 
-    // One SCC unit's optimistic result: per-member `(ret_jfs,
-    // newly_quarantined)` pairs, with the governor shard it charged.
-    type SccOut = Vec<(Vec<JumpFn>, bool)>;
+    // One SCC unit's optimistic result: its members' fresh entries in
+    // build order (moved into `opt_table` once the level ends), and per
+    // member `(newly_quarantined, handed-off symbolic)`.
+    type SccOut = (Vec<(ProcId, Vec<JumpFn>)>, Vec<(bool, Option<Symbolic>)>);
 
     // Optimistic phase: run each level's SCC units in parallel, committing
-    // their tables before the next level starts.
+    // their entries before the next level starts.
     let mut opt_table = ReturnJumpFns {
         fns: vec![None; n_procs],
         compose,
     };
     let mut units: Vec<Option<PhaseUnit<SccOut>>> = (0..n_sccs).map(|_| None).collect();
-    let mut time = crate::par::PhaseTime::default();
+    let mut time = PhaseTime::default();
     for level in scc_levels(cg) {
         let (level_units, pt) = pool.run(level.len(), |k| {
             let si = level[k];
             let members = &cg.sccs[si];
             let mut shard = proto.shard();
-            // Members of a multi-procedure SCC read each other's fresh
-            // entries, so they get a private overlay of the table.
-            let mut overlay: Option<ReturnJumpFns> = (members.len() > 1).then(|| opt_table.clone());
-            let mut outs = Vec::with_capacity(members.len());
+            let mut fresh: Vec<(ProcId, Vec<JumpFn>)> = Vec::with_capacity(members.len());
+            let mut flags = Vec::with_capacity(members.len());
             for &p in members {
-                let visible = overlay.as_ref().unwrap_or(&opt_table);
-                let (fns, newly) = run_scc_member(
+                let oracle = SccOracle {
+                    base: RetOracle {
+                        table: &opt_table,
+                        mcfg,
+                        layout,
+                    },
+                    scc_of: &cg.scc_of,
+                    scc: si,
+                    fresh: &fresh,
+                };
+                let out = run_scc_member(
                     mcfg,
-                    visible,
+                    &oracle,
                     layout,
-                    kills,
+                    ssas[p.index()].as_ref(),
                     config,
                     p,
                     snapshot[p.index()],
+                    keeps_symbolic(config, cg, p),
                     &mut shard,
                 );
-                if let Some(o) = overlay.as_mut() {
-                    o.fns[p.index()] = Some(fns.clone());
-                }
-                outs.push((fns, newly));
+                fresh.push((p, out.fns));
+                flags.push((out.newly_quarantined, out.sym));
             }
-            PhaseUnit::new(si, Ok(outs), shard)
+            PhaseUnit::new(si, Ok((fresh, flags)), shard)
         });
         time.absorb(pt);
-        for (k, unit) in level_units.into_iter().enumerate() {
-            let si = level[k];
-            if let Ok(outs) = &unit.outcome {
-                for (m, &p) in cg.sccs[si].iter().enumerate() {
-                    opt_table.fns[p.index()] = Some(outs[m].0.clone());
+        for (k, mut unit) in level_units.into_iter().enumerate() {
+            if let Ok((fresh, _)) = &mut unit.outcome {
+                for (p, fns) in fresh.drain(..) {
+                    opt_table.fns[p.index()] = Some(fns);
                 }
             }
-            units[si] = Some(unit);
+            units[level[k]] = Some(unit);
         }
     }
 
@@ -334,6 +456,7 @@ pub(crate) fn build_return_jfs_par(
         fns: vec![None; n_procs],
         compose,
     };
+    let mut syms: Vec<Option<Symbolic>> = (0..n_procs).map(|_| None).collect();
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for si in 0..n_sccs {
@@ -348,10 +471,11 @@ pub(crate) fn build_return_jfs_par(
             })
         });
         match fold.try_absorb(gov, pu, !dep_changed) {
-            Some(Ok(outs)) => {
-                for ((fns, newly), &p) in outs.into_iter().zip(members) {
+            Some(Ok((_, outs))) => {
+                for ((newly, sym), &p) in outs.into_iter().zip(members) {
                     quarantined[p.index()] = snapshot[p.index()] || newly;
-                    table.fns[p.index()] = Some(fns);
+                    table.fns[p.index()] = opt_table.fns[p.index()].take();
+                    syms[p.index()] = sym;
                 }
                 // Committed == optimistic, so `changed[si]` stays false.
             }
@@ -363,28 +487,35 @@ pub(crate) fn build_return_jfs_par(
             None => {
                 let mut any_diff = false;
                 for &p in members {
-                    let (fns, newly) = run_scc_member(
+                    let oracle = RetOracle {
+                        table: &table,
                         mcfg,
-                        &table,
                         layout,
-                        kills,
+                    };
+                    let out = run_scc_member(
+                        mcfg,
+                        &oracle,
+                        layout,
+                        ssas[p.index()].as_ref(),
                         config,
                         p,
                         snapshot[p.index()],
+                        keeps_symbolic(config, cg, p),
                         gov,
                     );
-                    if opt_table.fns[p.index()].as_ref() != Some(&fns) {
+                    if opt_table.fns[p.index()].as_ref() != Some(&out.fns) {
                         any_diff = true;
                     }
-                    quarantined[p.index()] = snapshot[p.index()] || newly;
-                    table.fns[p.index()] = Some(fns);
+                    quarantined[p.index()] = snapshot[p.index()] || out.newly_quarantined;
+                    table.fns[p.index()] = Some(out.fns);
+                    syms[p.index()] = out.sym;
                 }
                 changed[si] = any_diff;
             }
         }
     }
     fold.stamp(&mut time);
-    (table, time)
+    (table, syms, time.spanning(start.elapsed()))
 }
 
 /// Groups the call graph's reachable SCCs into dependency levels: level 0
@@ -421,31 +552,37 @@ fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
 }
 
 /// One procedure's slice of the bottom-up walk: the quarantine
-/// short-circuit, the quarantined unit, and the panic containment —
-/// shared verbatim by the sequential driver, the optimistic parallel
-/// units, and the fold's replay path. Returns the slot functions and
-/// whether the procedure was *newly* quarantined here.
+/// short-circuit, the quarantined unit over the procedure's SSA slot, and
+/// the panic containment — shared verbatim by the sequential driver, the
+/// optimistic parallel units, the fold's replay path, and serve. `oracle`
+/// resolves callees' return jump functions; `keep_sym` asks for the
+/// evaluation to be handed back (see [`MemberOut::sym`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_scc_member(
     mcfg: &ModuleCfg,
-    table: &ReturnJumpFns,
+    oracle: &dyn CallDefEval,
     layout: &SlotLayout,
-    kills: &(dyn CallKills + Sync),
+    ssa: Option<&Result<SsaProc, crate::pipeline::UnitError>>,
     config: &Config,
     p: ProcId,
     already_quarantined: bool,
+    keep_sym: bool,
     gov: &mut Governor,
-) -> (Vec<JumpFn>, bool) {
+) -> MemberOut {
     let proc = mcfg.module.proc(p);
     let n_slots = layout.n_slots(proc.arity());
     if already_quarantined {
-        return (vec![JumpFn::Bottom; n_slots], false);
+        return MemberOut::bottom(n_slots, false);
     }
-    let unit = run_unit(config, Stage::RetJump, p.index(), || {
-        build_proc_ret_jfs(mcfg, table, layout, kills, p, n_slots, gov)
+    let unit = run_ssa_unit(config, Stage::RetJump, p.index(), ssa, |ssa| {
+        build_proc_ret_jfs(mcfg, oracle, layout, ssa, p, n_slots, keep_sym, gov)
     });
     match unit {
-        Ok(fns) => (fns, false),
+        Ok((fns, sym)) => MemberOut {
+            fns,
+            newly_quarantined: false,
+            sym,
+        },
         Err(e) => {
             gov.record_quarantine(
                 Stage::RetJump,
@@ -454,32 +591,28 @@ pub(crate) fn run_scc_member(
                     proc.name, e.message
                 ),
             );
-            (vec![JumpFn::Bottom; n_slots], true)
+            MemberOut::bottom(n_slots, true)
         }
     }
 }
 
-/// One procedure's slice of return-jump-function construction — the unit
-/// of work [`build_return_jfs`] runs under quarantine.
+/// One procedure's slice of return-jump-function construction over its
+/// SSA form — the unit of work [`run_scc_member`] runs under quarantine.
+/// Returns the slot functions, plus the symbolic evaluation when
+/// `keep_sym` is set and the evaluation did not exhaust its step slice.
+#[allow(clippy::too_many_arguments)]
 fn build_proc_ret_jfs(
     mcfg: &ModuleCfg,
-    table: &ReturnJumpFns,
+    oracle: &dyn CallDefEval,
     layout: &SlotLayout,
-    kills: &(dyn CallKills + Sync),
+    ssa: &SsaProc,
     p: ProcId,
     n_slots: usize,
+    keep_sym: bool,
     gov: &mut Governor,
-) -> Vec<JumpFn> {
-    let ssa = build_ssa(mcfg, p, kills);
+) -> (Vec<JumpFn>, Option<Symbolic>) {
     let max_steps = gov.limits().max_symbolic_steps;
-    let (sym, steps_exhausted) = {
-        let oracle = RetOracle {
-            table,
-            mcfg,
-            layout,
-        };
-        evaluate_budgeted(mcfg, &ssa, layout, &oracle, None, max_steps)
-    };
+    let (sym, steps_exhausted) = evaluate_budgeted(mcfg, ssa, layout, oracle, None, max_steps);
     let proc = mcfg.module.proc(p);
     if steps_exhausted {
         gov.record_quarantine(
@@ -551,7 +684,7 @@ fn build_proc_ret_jfs(
         };
         fns.push(jf);
     }
-    fns
+    (fns, (keep_sym && !steps_exhausted).then_some(sym))
 }
 
 #[cfg(test)]
@@ -678,6 +811,94 @@ mod tests {
              proc f(a) { if (a > 0) { a = a - 1; call f(a); } }",
         );
         assert_eq!(t.get(pid(&m, "f"), 0), Some(&JumpFn::Bottom));
+    }
+
+    /// One driver's products: the table, the quarantine flags, and the
+    /// handed-off evaluations' values.
+    type DriverRun = (ReturnJumpFns, Vec<bool>, Vec<Option<Vec<SymVal>>>);
+
+    /// The sequential driver and the parallel one (with its per-SCC
+    /// overlay in place of a table copy) over the same SSA stage output.
+    fn both_drivers(src: &str) -> (ipcp_ir::ModuleCfg, CallGraph, [DriverRun; 2]) {
+        let m = lower_module(&parse_and_resolve(src).unwrap());
+        let cg = build_call_graph(&m);
+        let mr = compute_modref(&m, &cg);
+        let layout = SlotLayout::new(&m.module);
+        let config = Config::default().with_jobs(2);
+        let kills = ModKills(&mr);
+        let n = m.module.procs.len();
+        let values =
+            |syms: Vec<Option<Symbolic>>| syms.into_iter().map(|s| s.map(|s| s.values)).collect();
+        let runs = crate::par::with_pool(2, |pool| {
+            let (ssas, _) = build_ssa_stage(&cg, &config, &vec![false; n], pool, &|p| {
+                build_ssa(&m, p, &kills)
+            });
+            let mut q_seq = vec![false; n];
+            let (seq, seq_syms) = return_jfs_over(
+                &m,
+                &cg,
+                &layout,
+                &ssas,
+                &config,
+                &mut q_seq,
+                &mut Governor::unlimited(),
+            );
+            let mut q_par = vec![false; n];
+            let (par, par_syms, _) = build_return_jfs_par(
+                &m,
+                &cg,
+                &layout,
+                &ssas,
+                &config,
+                &mut q_par,
+                &mut Governor::unlimited(),
+                pool,
+            );
+            [
+                (seq, q_seq, values(seq_syms)),
+                (par, q_par, values(par_syms)),
+            ]
+        });
+        (m, cg, runs)
+    }
+
+    #[test]
+    fn recursive_sccs_agree_across_drivers() {
+        // f <-> g are mutually recursive, h calls itself, and leaf is
+        // not recursive. Each recursive member reads its sibling's (or
+        // its own) entry after the call.
+        let (m, cg, [(seq, q_seq, seq_syms), (par, q_par, par_syms)]) = both_drivers(
+            "global k; \
+             proc main() { x = 1; call f(x); call h(x); call leaf(x); } \
+             proc f(a) { a = 5; call g(a); a = 9; } \
+             proc g(b) { call f(b); b = b + 1; k = 2; } \
+             proc h(c) { if (c > 0) { c = c - 1; call h(c); } c = c + 5; } \
+             proc leaf(d) { d = 4; }",
+        );
+        assert_eq!(seq.fns, par.fns, "return jump functions differ");
+        assert_eq!(q_seq, q_par, "quarantine flags differ");
+        assert_eq!(seq_syms, par_syms, "handed-off evaluations differ");
+
+        let (f, g, h, leaf) = (pid(&m, "f"), pid(&m, "g"), pid(&m, "h"), pid(&m, "leaf"));
+        assert_eq!(seq.get(f, 0), Some(&JumpFn::Const(9)));
+        // A member sees a sibling built before it in the SCC, exactly as
+        // the sequential driver's in-place table shows it.
+        let scc = &cg.sccs[cg.scc_of[f.index()]];
+        let f_first = scc.iter().position(|&p| p == f) < scc.iter().position(|&p| p == g);
+        let expect_g = if f_first {
+            JumpFn::Const(10)
+        } else {
+            JumpFn::Bottom
+        };
+        assert_eq!(seq.get(g, 0), Some(&expect_g));
+        // h's own entry is unbuilt while h is evaluated: ⊥ after the call.
+        assert_eq!(seq.get(h, 0), Some(&JumpFn::Bottom));
+        assert_eq!(seq.get(leaf, 0), Some(&JumpFn::Const(4)));
+        // Only non-recursive procedures hand their evaluation on.
+        for p in [f, g, h] {
+            assert!(seq_syms[p.index()].is_none(), "{p:?} is recursive");
+        }
+        assert!(seq_syms[leaf.index()].is_some());
     }
 
     #[test]

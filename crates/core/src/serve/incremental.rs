@@ -37,9 +37,10 @@ use crate::health::Governor;
 use crate::jump::{build_forward_jump_fns, ProcSymbolic};
 use crate::par::{PhaseTime, Timings};
 use crate::pipeline::{
-    build_proc_symbolic, commit_modref_unit, commit_symbolic_unit, widen_modref,
+    commit_modref_unit, commit_symbolic_unit, run_symbolic_unit, widen_modref, SsaSlot, UnitError,
 };
-use crate::retjump::run_scc_member;
+use crate::quarantine::run_contained;
+use crate::retjump::{run_scc_member, RetOracle};
 use crate::serve::cache::{CacheKey, CacheTxn, CachedSummary, SummaryCache, SummaryStage};
 use crate::solver::ValSets;
 use crate::Analysis;
@@ -48,9 +49,9 @@ use ipcp_analysis::{build_call_graph, direct_effects, propagate_modref, summary_
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::Fnv128;
 use ipcp_ir::program::{ProcId, SlotLayout};
-use ipcp_ssa::ssa::{CallKills, ModKills, WorstCaseKills};
+use ipcp_ssa::ssa::{build_ssa, CallKills, ModKills, SsaProc, WorstCaseKills};
 use ipcp_ssa::symbolic::EvalBudget;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Whether this configuration's per-procedure units are cacheable at
 /// all. Gated jump functions iterate: each round's units read the
@@ -233,6 +234,13 @@ pub fn analyze_incremental(
         &WorstCaseKills
     };
 
+    // SSA is built lazily — only for units that miss the cache — through
+    // the same containment as the cold SSA stage, and at most once per
+    // procedure: a return-JF miss builds it, a replay and the symbolic
+    // miss of the same procedure reuse it. Its time is reported as the
+    // `ssa` phase and kept out of the consuming phases' walls.
+    let mut ssas = LazySsa::new(n_procs);
+
     // Stage 1: return jump functions, bottom-up. These units charge the
     // governor (one RetJump charge per slot classification), so each
     // runs against a recording shard: a clean shard whose charges fold
@@ -250,13 +258,33 @@ pub fn analyze_incremental(
             fns: vec![None; n_procs],
             compose: config.compose_return_jfs,
         };
+        let member = |table: &ReturnJumpFns,
+                      ssa: Option<&Result<SsaProc, UnitError>>,
+                      p: ProcId,
+                      quarantined: bool,
+                      gov: &mut Governor| {
+            let oracle = RetOracle {
+                table,
+                mcfg,
+                layout: &layout,
+            };
+            run_scc_member(
+                mcfg,
+                &oracle,
+                &layout,
+                ssa,
+                config,
+                p,
+                quarantined,
+                false,
+                gov,
+            )
+        };
         for p in cg.bottom_up() {
             let pi = p.index();
             if quarantined[pi] {
                 // The short-circuit touches neither cache nor governor.
-                let (fns, _) =
-                    run_scc_member(mcfg, &table, &layout, kills, config, p, true, &mut gov);
-                table.fns[pi] = Some(fns);
+                table.fns[pi] = Some(member(&table, None, p, true, &mut gov).fns);
                 continue;
             }
             let key = CacheKey {
@@ -283,46 +311,49 @@ pub fn analyze_incremental(
                 }
             }
             txn.misses += 1;
+            ssas.ensure(mcfg, kills, config, pi, Stage::RetJump);
             let mut shard = gov.shard();
-            let (fns, newly) =
-                run_scc_member(mcfg, &table, &layout, kills, config, p, false, &mut shard);
+            let out = member(&table, ssas.slots[pi].as_ref(), p, false, &mut shard);
             if gov.can_absorb(&shard) {
                 // A shard that tripped can never satisfy can_absorb (its
                 // counter already exceeds the cap or fault point), so
                 // this branch is charge-for-charge identical to having
                 // run against the master.
-                let clean = !newly && !shard.health.degraded();
+                let clean = !out.newly_quarantined && !shard.health.degraded();
                 let charges = shard.counters();
                 gov.absorb_shard(shard);
                 if clean && !forced {
                     txn.stage(
                         key,
                         CachedSummary::RetJump {
-                            fns: fns.clone(),
+                            fns: out.fns.clone(),
                             charges,
                         },
                     );
                 }
-                quarantined[pi] = newly;
-                table.fns[pi] = Some(fns);
+                quarantined[pi] = out.newly_quarantined;
+                table.fns[pi] = Some(out.fns);
             } else {
-                let (fns, newly) =
-                    run_scc_member(mcfg, &table, &layout, kills, config, p, false, &mut gov);
-                quarantined[pi] = newly;
-                table.fns[pi] = Some(fns);
+                let out = member(&table, ssas.slots[pi].as_ref(), p, false, &mut gov);
+                quarantined[pi] = out.newly_quarantined;
+                table.fns[pi] = Some(out.fns);
             }
         }
         table
     };
-    timings.retjump = PhaseTime::sequential(t1.elapsed(), cg.bottom_up().count());
+    timings.retjump = PhaseTime::sequential(
+        t1.elapsed().saturating_sub(ssas.time),
+        cg.bottom_up().count(),
+    );
 
-    // Stage 2: SSA + symbolic evaluation, then forward jump functions.
+    // Stage 2: symbolic evaluation, then forward jump functions.
     // Symbolic units make no governor charges (step budgets live inside
     // the evaluator), so hits need no replay; only clean units — no
     // panic, no exhausted step slice — are cached. Forward-jump-function
     // construction always runs live: it is cheap and makes the Jump
     // charges that fault injection addresses.
     let t2 = Instant::now();
+    let ssa_before = ssas.time;
     let latch = std::sync::Arc::clone(gov.latch());
     let max_steps = gov.limits().max_symbolic_steps;
     let deadline = config.deadline.map(|d| d.instant());
@@ -346,16 +377,38 @@ pub fn analyze_incremental(
             }
         }
         txn.misses += 1;
+        if !config.pruned_ssa {
+            ssas.ensure(mcfg, kills, config, pi, Stage::Jump);
+        }
         let budget = EvalBudget {
             max_steps,
             deadline,
             latch: Some(&latch),
         };
-        let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-            build_proc_symbolic(mcfg, config, &layout, kills, &ret_jfs, None, pi, &budget)
-        });
-        if let Ok((ps, steps_exhausted)) = &unit {
-            if !steps_exhausted && !forced {
+        let unit = run_symbolic_unit(
+            mcfg,
+            config,
+            &layout,
+            kills,
+            &ret_jfs,
+            None,
+            pi,
+            ssas.slots[pi].as_ref(),
+            &budget,
+        );
+        let clean = matches!(&unit, Ok(u) if !u.steps_exhausted);
+        let stage_ssa = ssas.slots[pi].take().and_then(Result::ok);
+        commit_symbolic_unit(
+            mcfg,
+            pi,
+            unit,
+            stage_ssa,
+            &mut symbolics,
+            &mut quarantined,
+            &mut gov,
+        );
+        if clean && !forced {
+            if let Some(Some(ps)) = symbolics.last() {
                 txn.stage(
                     key,
                     CachedSummary::Jump {
@@ -364,7 +417,6 @@ pub fn analyze_incremental(
                 );
             }
         }
-        commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
     }
     let jump_fns = build_forward_jump_fns(
         mcfg,
@@ -375,7 +427,9 @@ pub fn analyze_incremental(
         &mut quarantined,
         &mut gov,
     );
-    timings.jump = PhaseTime::sequential(t2.elapsed(), n_procs);
+    timings.jump =
+        PhaseTime::sequential(t2.elapsed().saturating_sub(ssas.time - ssa_before), n_procs);
+    timings.ssa = PhaseTime::sequential(ssas.time, ssas.built);
     Analysis::finish(
         mcfg,
         config,
@@ -390,6 +444,44 @@ pub fn analyze_incremental(
         timings,
         t_run,
     )
+}
+
+/// The incremental path's SSA stage: slots filled on demand, with the
+/// containment (and failure attribution) of the cold stage.
+struct LazySsa {
+    slots: Vec<SsaSlot>,
+    time: Duration,
+    built: usize,
+}
+
+impl LazySsa {
+    fn new(n_procs: usize) -> LazySsa {
+        LazySsa {
+            slots: (0..n_procs).map(|_| None).collect(),
+            time: Duration::ZERO,
+            built: 0,
+        }
+    }
+
+    /// Builds procedure `pi`'s minimal SSA form unless it already has one,
+    /// charging a failure to `stage` — the unit that needs the form.
+    fn ensure(
+        &mut self,
+        mcfg: &ModuleCfg,
+        kills: &dyn CallKills,
+        config: &Config,
+        pi: usize,
+        stage: Stage,
+    ) {
+        if self.slots[pi].is_none() {
+            let t = Instant::now();
+            self.slots[pi] = Some(run_contained(config, stage, pi, || {
+                build_ssa(mcfg, ProcId::from(pi), kills)
+            }));
+            self.time += t.elapsed();
+            self.built += 1;
+        }
+    }
 }
 
 /// The identity predicate the differential tests assert: everything an
