@@ -566,6 +566,7 @@ stage_lockfree_lint() {
         crates/core/src/cloning.rs
         crates/core/src/inline.rs
         crates/core/src/complete.rs
+        crates/core/src/substitute.rs
         crates/core/src/serve/workers.rs
     )
     local f bad=0

@@ -8,7 +8,8 @@
 //! all of them. Each (tier, jobs) cell therefore runs in a child
 //! process (`bench_scale --child <spec> <jobs>`): the child builds the
 //! module through the *streaming* front end (`resolve_streaming` over a
-//! `ScaleSource`), runs the analysis, and prints one JSON row; the
+//! `ScaleSource`), runs the analysis, the substitution counts stage, and
+//! `ipcc integrate`'s comparator, and prints one JSON row; the
 //! parent collects the rows, checks that every job count reached the
 //! identical fixpoint, enforces the optional ceilings, and writes
 //! `BENCH_scale.json` into the current directory.
@@ -22,7 +23,9 @@
 //! * `IPCP_BENCH_REPS` — analysis repetitions per cell, best-of
 //!   (default 1 — tiers are big; identity matters more than variance);
 //! * `IPCP_SCALE_MAX_WALL_MS` / `IPCP_SCALE_MAX_RSS_MB` — hard ceilings
-//!   per cell; any breach fails the run after the JSON is written.
+//!   per cell; any breach fails the run after the JSON is written. A
+//!   cell's wall time is build + analysis + substitution + integration,
+//!   so a complexity regression in any of them trips the ceiling.
 
 use ipcp::serve::json::{self, Json};
 use ipcp::{peak_rss_bytes, Analysis, Config};
@@ -82,6 +85,9 @@ fn tiers() -> Vec<(&'static str, &'static str)> {
         .collect()
 }
 
+/// The statement-growth budget `ipcc integrate` uses by default.
+const INTEGRATE_BUDGET: usize = 10_000;
+
 /// Streams `Debug` formatting straight into the FNV-128 hasher — the
 /// analysis-result digest never materializes as a string (at 100k
 /// procedures it would be tens of megabytes, polluting the RSS reading).
@@ -103,7 +109,7 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
         resolve_streaming(&source).map_err(|d| format!("scale program failed to resolve: {d}"))?;
     let resolve = t0.elapsed();
     let t1 = Instant::now();
-    let mcfg = ipcp_ir::lower_module(&streamed.module);
+    let mcfg = ipcp_ir::lower_module_owned(streamed.module);
     let lower = t1.elapsed();
     let build = resolve + lower;
 
@@ -111,18 +117,33 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
     let mut best = Duration::MAX;
     let mut last: Option<Analysis> = None;
     for _ in 0..reps() {
+        // Free the previous rep's analysis first, so peak RSS is one
+        // analysis whatever the rep count.
+        drop(last.take());
         let t = Instant::now();
         let a = Analysis::run(&mcfg, &config);
         best = best.min(t.elapsed());
         last = Some(a);
     }
     let a = last.ok_or("reps must be >= 1")?;
+    let t = Instant::now();
+    let substituted = a.substitution_total(&mcfg);
+    let subst = t.elapsed();
+    // Peak RSS covers the analysis and its counts; the integration
+    // comparator below builds a second program of its own.
+    let rss = peak_rss_bytes().unwrap_or(0);
+    let t = Instant::now();
+    let (integrated, _) = ipcp::integrate_and_count(&mcfg, &config, INTEGRATE_BUDGET);
+    let integrate = t.elapsed();
 
     let mut hw = HashWriter(ipcp_ir::hash::Fnv128::new());
-    write!(hw, "{:?}{:?}{:?}", a.vals.vals, a.health, a.quarantined)?;
+    write!(
+        hw,
+        "{:?}{:?}{:?}{substituted}/{integrated}",
+        a.vals.vals, a.health, a.quarantined
+    )?;
     let digest = hw.0.finish();
 
-    let rss = peak_rss_bytes().unwrap_or(0);
     let mut stages = String::new();
     for (name, pt) in a.timings.stages() {
         let _ = write!(stages, "\"{name}_us\": {}, ", pt.wall.as_micros());
@@ -130,20 +151,25 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
     println!(
         concat!(
             "{{\"n_procs\": {}, \"resolve_ms\": {}, \"lower_ms\": {}, ",
-            "\"build_ms\": {}, \"analyze_ms\": {}, ",
+            "\"build_ms\": {}, \"analyze_ms\": {}, \"subst_ms\": {}, \"integrate_ms\": {}, ",
             "\"rss_bytes\": {}, \"total_bytes\": {}, \"peak_chunk_bytes\": {}, ",
-            "{}\"solver_iterations\": {}, \"digest\": \"{:032x}\"}}"
+            "{}\"solver_iterations\": {}, \"substituted\": {}, \"integrated\": {}, ",
+            "\"digest\": \"{:032x}\"}}"
         ),
         mcfg.module.procs.len(),
         resolve.as_millis(),
         lower.as_millis(),
         build.as_millis(),
         best.as_millis(),
+        subst.as_millis(),
+        integrate.as_millis(),
         rss,
         streamed.total_bytes,
         streamed.peak_chunk_bytes,
         stages,
         a.vals.iterations,
+        substituted,
+        integrated,
         digest,
     );
     Ok(())
@@ -159,6 +185,14 @@ struct Cell {
 
 fn get_i64(obj: &json::Object, key: &str) -> i64 {
     obj.get(key).and_then(Json::as_i64).unwrap_or(0)
+}
+
+/// A cell's wall time: the ceiling covers every timed step.
+fn wall_ms(row: &json::Object) -> i64 {
+    ["build_ms", "analyze_ms", "subst_ms", "integrate_ms"]
+        .iter()
+        .map(|k| get_i64(row, k))
+        .sum()
 }
 
 fn run_cell(tier: &'static str, spec: &str, jobs: usize) -> Result<Cell, String> {
@@ -211,21 +245,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut cells: Vec<Cell> = Vec::new();
     println!(
-        "{:<6} {:>5} {:>10} {:>12} {:>8} {:>10} {:>9}",
-        "tier", "jobs", "build_ms", "analyze_ms", "rss_mb", "solve_us", "iters"
+        "{:<6} {:>5} {:>10} {:>12} {:>9} {:>12} {:>8} {:>10} {:>9}",
+        "tier",
+        "jobs",
+        "build_ms",
+        "analyze_ms",
+        "subst_ms",
+        "integrate_ms",
+        "rss_mb",
+        "solve_us",
+        "iters"
     );
     let mut failures: Vec<String> = Vec::new();
     for &(tier, spec) in &tiers {
         for &jobs in &sweep {
             let cell = run_cell(tier, spec, jobs)?;
-            let wall_ms = get_i64(&cell.row, "build_ms") + get_i64(&cell.row, "analyze_ms");
+            let wall_ms = wall_ms(&cell.row);
             let rss_mb = get_i64(&cell.row, "rss_bytes") / (1024 * 1024);
             println!(
-                "{:<6} {:>5} {:>10} {:>12} {:>8} {:>10} {:>9}",
+                "{:<6} {:>5} {:>10} {:>12} {:>9} {:>12} {:>8} {:>10} {:>9}",
                 tier,
                 jobs,
                 get_i64(&cell.row, "build_ms"),
                 get_i64(&cell.row, "analyze_ms"),
+                get_i64(&cell.row, "subst_ms"),
+                get_i64(&cell.row, "integrate_ms"),
                 rss_mb,
                 get_i64(&cell.row, "solve_us"),
                 get_i64(&cell.row, "solver_iterations"),
@@ -262,7 +306,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "    {{\"program\": \"scale-{tier}\", \"tier\": \"{tier}\", \"spec\": \"{spec}\", \"jobs\": {}, ",
                 c.jobs
             );
-            let wall_ms = get_i64(&c.row, "build_ms") + get_i64(&c.row, "analyze_ms");
+            let wall_ms = wall_ms(&c.row);
             let rss_mb = get_i64(&c.row, "rss_bytes") / (1024 * 1024);
             let _ = write!(row, "\"wall_ms\": {wall_ms}, \"rss_mb\": {rss_mb}, ");
             for key in [
@@ -271,6 +315,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "lower_ms",
                 "build_ms",
                 "analyze_ms",
+                "subst_ms",
+                "integrate_ms",
                 "total_bytes",
                 "peak_chunk_bytes",
                 "modref_us",
@@ -279,6 +325,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "jump_us",
                 "solve_us",
                 "solver_iterations",
+                "substituted",
+                "integrated",
             ] {
                 let _ = write!(row, "\"{key}\": {}, ", get_i64(&c.row, key));
             }

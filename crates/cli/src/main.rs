@@ -74,7 +74,7 @@ fn load(path: &str) -> Result<(String, ModuleCfg), String> {
         let rendered: Vec<String> = diags.iter().map(|d| d.render(&src)).collect();
         rendered.join("\n")
     })?;
-    Ok((src.clone(), ipcp_ir::lower_module(&module)))
+    Ok((src, ipcp_ir::lower_module_owned(module)))
 }
 
 fn dispatch(cmd: Command) -> Result<(), Failure> {
@@ -134,12 +134,18 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
             let (_, mcfg) = load(&file)?;
             let analysis = Analysis::run(&mcfg, &config);
             emit_analysis(&mcfg, &analysis, emit);
-            check_health(&analysis.health, config.strict)
+            let health = check_health(&analysis.health, config.strict);
+            // The process exits next: leave the program and its analysis
+            // for the OS to reclaim rather than freeing them piece by
+            // piece, as compilers do when they skip teardown at exit.
+            std::mem::forget(analysis);
+            std::mem::forget(mcfg);
+            health
         }
         Command::Complete { file, config } => {
             let (_, mcfg) = load(&file)?;
             let plain_analysis = Analysis::run(&mcfg, &config);
-            let plain = plain_analysis.substitute(&mcfg).total;
+            let plain = plain_analysis.substitution_total(&mcfg);
             let result = complete_propagation(&mcfg, &config);
             println!("plain propagation:    {plain} constants substituted");
             println!(
@@ -158,11 +164,9 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
             budget,
         } => {
             let (_, mcfg) = load(&file)?;
-            let before = Analysis::run(&mcfg, &config).substitute(&mcfg).total;
+            let before = Analysis::run(&mcfg, &config).substitution_total(&mcfg);
             let result = clone_by_constants(&mcfg, &config, budget);
-            let after = Analysis::run(&result.module, &config)
-                .substitute(&result.module)
-                .total;
+            let after = Analysis::run(&result.module, &config).substitution_total(&result.module);
             println!("clones created: {}", result.n_clones);
             for (pi, n) in result.clones_of.iter().enumerate() {
                 if *n > 0 {
@@ -199,9 +203,7 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
         }
         Command::Integrate { file, budget } => {
             let (_, mcfg) = load(&file)?;
-            let jf = Analysis::run(&mcfg, &Config::polynomial())
-                .substitute(&mcfg)
-                .total;
+            let jf = Analysis::run(&mcfg, &Config::polynomial()).substitution_total(&mcfg);
             let (integrated, result) = ipcp::integrate_and_count(&mcfg, &Config::default(), budget);
             println!(
                 "inlined {} call(s) in {} round(s)",
@@ -408,15 +410,15 @@ fn emit_analysis(mcfg: &ModuleCfg, analysis: &Analysis, emit: Emit) {
     match emit {
         Emit::Constants => {
             print!("{}", analysis.vals.display(mcfg, &layout));
-            let substituted = analysis.substitute(mcfg);
-            println!("total constants substituted: {}", substituted.total);
+            let total = analysis.substitution_total(mcfg);
+            println!("total constants substituted: {total}");
         }
         Emit::Counts => {
-            let substituted = analysis.substitute(mcfg);
-            for (pi, n) in substituted.counts.iter().enumerate() {
+            let counts = ipcp::substitution_counts(mcfg, analysis);
+            for (pi, n) in counts.iter().enumerate() {
                 println!("{:<24} {n}", mcfg.module.procs[pi].name);
             }
-            println!("{:<24} {}", "total", substituted.total);
+            println!("{:<24} {}", "total", counts.iter().sum::<usize>());
         }
         Emit::Substituted => {
             let substituted = analysis.substitute(mcfg);
@@ -535,7 +537,7 @@ fn tables() {
     );
     for p in paper_programs() {
         let mcfg = p.module_cfg();
-        let count = |c: &Config| Analysis::run(&mcfg, c).substitute(&mcfg).total;
+        let count = |c: &Config| Analysis::run(&mcfg, c).substitution_total(&mcfg);
         println!(
             "{:<10} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
             p.name,
@@ -567,10 +569,8 @@ fn tables() {
         println!(
             "{:<10} {:>8} {:>8} {:>9} {:>7} {:>5} {:>5}",
             p.name,
-            Analysis::run(&mcfg, &Config::polynomial().with_mod(false))
-                .substitute(&mcfg)
-                .total,
-            a.substitute(&mcfg).total,
+            Analysis::run(&mcfg, &Config::polynomial().with_mod(false)).substitution_total(&mcfg),
+            a.substitution_total(&mcfg),
             complete(&mcfg, &Config::polynomial()).substitution.total,
             substitute_intraprocedural(&mcfg, &a).total,
             a.health.events.len(),

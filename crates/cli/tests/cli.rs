@@ -91,6 +91,45 @@ fn analyze_emit_counts_and_jumpfns() {
     assert!(text.contains("main cs0"), "{text}");
 }
 
+/// `--emit counts` and `--emit constants` read the same counts stage:
+/// the `total` row of one is the last line of the other, on the suite
+/// and at one and at two jobs.
+#[test]
+fn emit_counts_total_equals_emit_constants_total() {
+    let stdout = |path: &std::path::Path, emit: &str, jobs: &str| {
+        let out = ipcc()
+            .args(["analyze", "--emit", emit, "--jobs", jobs])
+            .arg(path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for p in ipcp_suite::PROGRAMS {
+        let path = write_temp(&format!("totals-{}", p.name), p.source);
+        for jobs in ["1", "2"] {
+            let counts = stdout(&path, "counts", jobs);
+            let constants = stdout(&path, "constants", jobs);
+            let total = counts
+                .lines()
+                .last()
+                .and_then(|l| l.strip_prefix("total"))
+                .map(str::trim)
+                .unwrap();
+            assert_eq!(
+                constants.lines().last().unwrap(),
+                format!("total constants substituted: {total}"),
+                "{} at -j {jobs}",
+                p.name
+            );
+        }
+    }
+}
+
 #[test]
 fn analyze_respects_jump_fn_choice() {
     let path = write_temp("kinds", DEMO);

@@ -203,11 +203,9 @@ pub fn cloning_gain(
     config: &Config,
     max_clones_total: usize,
 ) -> (usize, usize, CloneResult) {
-    let before = Analysis::run(mcfg, config).substitute(mcfg).total;
+    let before = Analysis::run(mcfg, config).substitution_total(mcfg);
     let result = clone_by_constants(mcfg, config, max_clones_total);
-    let after = Analysis::run(&result.module, config)
-        .substitute(&result.module)
-        .total;
+    let after = Analysis::run(&result.module, config).substitution_total(&result.module);
     (before, after, result)
 }
 

@@ -118,4 +118,4 @@ pub use resource::peak_rss_bytes;
 pub use retjump::{build_return_jfs, ReturnJumpFns};
 pub use serve::{ServeEngine, ServeError, SummaryCache};
 pub use solver::{solve, solve_worklist_reference, ValSets};
-pub use substitute::{substitute, substitute_intraprocedural, Substitution};
+pub use substitute::{substitute, substitute_intraprocedural, substitution_counts, Substitution};

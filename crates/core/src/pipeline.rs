@@ -591,7 +591,7 @@ impl Analysis {
     }
 
     /// The SCCP call oracle consistent with this analysis's configuration.
-    pub fn sccp_oracle<'a>(&'a self, mcfg: &'a ModuleCfg) -> Box<dyn CallDefLattice + 'a> {
+    pub fn sccp_oracle<'a>(&'a self, mcfg: &'a ModuleCfg) -> Box<dyn CallDefLattice + Sync + 'a> {
         if self.config.use_return_jfs {
             Box::new(RetOracle {
                 table: &self.ret_jfs,
@@ -612,9 +612,17 @@ impl Analysis {
             .collect()
     }
 
-    /// Stage 4: record the results — run the substitution metric.
+    /// Stage 4: record the results — run the substitution metric and
+    /// build the transformed program.
     pub fn substitute(&self, mcfg: &ModuleCfg) -> Substitution {
         substitute::substitute(mcfg, self)
+    }
+
+    /// Stage 4's number alone: the total of
+    /// [`substitute::substitution_counts`], equal to
+    /// `self.substitute(mcfg).total` without building the program.
+    pub fn substitution_total(&self, mcfg: &ModuleCfg) -> usize {
+        substitute::substitution_counts(mcfg, self).iter().sum()
     }
 }
 

@@ -103,7 +103,7 @@ impl Snapshot {
     pub fn substituted(&self) -> usize {
         *self
             .substituted
-            .get_or_init(|| self.analysis.substitute(&self.mcfg).total)
+            .get_or_init(|| self.analysis.substitution_total(&self.mcfg))
     }
 
     /// `CONSTANTS(p)` from the warm analysis — the read-path twin of

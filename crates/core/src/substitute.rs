@@ -9,13 +9,15 @@
 //! procedure length and modularity.
 //!
 //! The substitution pass seeds each procedure's SCCP with its
-//! interprocedural `VAL` set, then walks the executable blocks rewriting
-//! occurrences. The transformed program is returned alongside the counts
-//! so tests can check behaviour is preserved.
+//! interprocedural `VAL` set, one worker-pool unit per reachable
+//! procedure, and reads the count off the fixpoint with one rule
+//! (`count_substitutable`). [`substitution_counts`] stops there; the
+//! full [`substitute`] also rewrites the executable blocks, returning
+//! the transformed program so tests can check behaviour is preserved.
 
 use crate::pipeline::Analysis;
-use ipcp_ir::cfg::{BlockId, CStmt, ModuleCfg, Terminator};
-use ipcp_ir::program::{Expr, Module, ProcId, VarKind};
+use ipcp_ir::cfg::{CStmt, Cfg, ModuleCfg, Terminator};
+use ipcp_ir::program::{Arg, Expr, Module, ProcId, VarKind};
 use ipcp_ir::span::Span;
 use ipcp_ssa::sccp::{self, CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 use ipcp_ssa::ssa::{build_ssa, ModKills, SsaProc, StmtInfo};
@@ -83,39 +85,124 @@ pub fn substitute_intraprocedural(mcfg: &ModuleCfg, analysis: &Analysis) -> Subs
     })
 }
 
+/// The counts of [`substitute`] without the transformed program: per
+/// procedure, the constants seeded SCCP lets the analyzer substitute.
+/// Equal to `substitute(mcfg, analysis).counts`, at a fraction of the
+/// cost — nothing is copied or rewritten.
+pub fn substitution_counts(mcfg: &ModuleCfg, analysis: &Analysis) -> Vec<usize> {
+    let oracle = analysis.sccp_oracle(mcfg);
+    let seeds_of = |p| seeds_for(analysis, mcfg, p);
+    sccp_stage(mcfg, analysis, oracle.as_ref(), seeds_of, |_, ssa, res| {
+        count_substitutable(ssa, &res)
+    })
+    .into_iter()
+    .map(Option::unwrap_or_default)
+    .collect()
+}
+
+/// The SCCP stage both substitution paths share: one pool unit per
+/// reachable procedure (`analysis.config.effective_jobs()` participants;
+/// at jobs=1 the loop runs inline), each running seeded SCCP over the
+/// procedure's analysis SSA and handing the fixpoint to `unit`. Results
+/// come back in procedure order; `None` marks a procedure with no SSA
+/// (unreachable or quarantined).
+fn sccp_stage<T: Send>(
+    mcfg: &ModuleCfg,
+    analysis: &Analysis,
+    oracle: &(dyn CallDefLattice + Sync),
+    seeds_of: impl Fn(ProcId) -> Seeds + Sync,
+    unit: impl Fn(ProcId, &SsaProc, SccpResult) -> T + Sync,
+) -> Vec<Option<T>> {
+    let n = mcfg.module.procs.len();
+    crate::par::with_pool(analysis.config.effective_jobs(), |pool| {
+        pool.run(n, |pi| {
+            if !analysis.cg.reachable[pi] {
+                return None;
+            }
+            // The substitution SSA must match the analysis call-effect world.
+            let ssa = &analysis.symbolics[pi].as_ref()?.ssa;
+            let p = ProcId::from(pi);
+            let res = sccp::run(mcfg, ssa, &seeds_of(p), oracle);
+            Some(unit(p, ssa, res))
+        })
+        .0
+    })
+}
+
 fn run_substitution(
     mcfg: &ModuleCfg,
     analysis: &Analysis,
-    oracle: &dyn CallDefLattice,
-    seeds_of: impl Fn(ProcId) -> Seeds,
+    oracle: &(dyn CallDefLattice + Sync),
+    seeds_of: impl Fn(ProcId) -> Seeds + Sync,
 ) -> Substitution {
-    let n = mcfg.module.procs.len();
-    let mut counts = vec![0usize; n];
-    let mut module = mcfg.clone();
-    let mut sccps: Vec<Option<SccpResult>> = (0..n).map(|_| None).collect();
-    let mut replacements = Vec::new();
+    let units = sccp_stage(mcfg, analysis, oracle, seeds_of, |p, ssa, res| {
+        let mut replacements = Vec::new();
+        let cfg = rewrite_proc(mcfg, p, ssa, &res, &mut replacements);
+        (count_substitutable(ssa, &res), cfg, replacements, res)
+    });
 
-    for pi in 0..n {
-        let p = ProcId::from(pi);
-        if !analysis.cg.reachable[pi] {
-            continue;
+    let n = units.len();
+    let mut counts = vec![0usize; n];
+    let mut cfgs = Vec::with_capacity(n);
+    let mut sccps = Vec::with_capacity(n);
+    let mut replacements = Vec::new();
+    for (pi, unit) in units.into_iter().enumerate() {
+        match unit {
+            Some((count, cfg, reps, res)) => {
+                counts[pi] = count;
+                cfgs.push(cfg);
+                replacements.extend(reps);
+                sccps.push(Some(res));
+            }
+            None => {
+                cfgs.push(mcfg.cfgs[pi].clone());
+                sccps.push(None);
+            }
         }
-        // The substitution SSA must match the analysis call-effect world.
-        let ssa = match analysis.symbolics[pi].as_ref() {
-            Some(ps) => &ps.ssa,
-            None => continue,
-        };
-        let res = sccp::run(mcfg, ssa, &seeds_of(p), oracle);
-        counts[pi] = rewrite_proc(&mut module, mcfg, p, ssa, &res, &mut replacements);
-        sccps[pi] = Some(res);
     }
 
     Substitution {
         total: counts.iter().sum(),
         counts,
-        module,
+        module: ModuleCfg {
+            module: mcfg.module.clone(),
+            cfgs,
+        },
         sccps,
         replacements,
+    }
+}
+
+/// What the substitution metric counts, in one place: every scalar
+/// variable occurrence in an executable block whose reaching SSA value
+/// is a constant. Occurrences are the statements' `use_vals` plus the
+/// branch conditions' `term_use_vals` (only `Branch` terminators carry
+/// any); by-reference actuals are not occurrences.
+fn count_substitutable(ssa: &SsaProc, res: &SccpResult) -> usize {
+    ssa.blocks
+        .iter()
+        .zip(&res.block_exec)
+        .filter(|&(_, &exec)| exec)
+        .map(|(block, _)| {
+            block
+                .stmts
+                .iter()
+                .flat_map(use_vals)
+                .chain(&block.term_use_vals)
+                .filter(|&&v| res.value(v).is_const())
+                .count()
+        })
+        .sum()
+}
+
+/// The variable-occurrence values of one statement.
+fn use_vals(info: &StmtInfo) -> &[ValueId] {
+    match info {
+        StmtInfo::Assign { use_vals, .. }
+        | StmtInfo::Store { use_vals, .. }
+        | StmtInfo::Print { use_vals, .. }
+        | StmtInfo::Call { use_vals, .. } => use_vals,
+        StmtInfo::Read { .. } => &[],
     }
 }
 
@@ -172,7 +259,7 @@ fn rewrite_ast_block(b: &mut ipcp_ir::program::Block, map: &std::collections::Ha
             }
             Stmt::Call(_, args, _) => {
                 for a in args {
-                    if let ipcp_ir::program::Arg::Value(e) = a {
+                    if let Arg::Value(e) = a {
                         rewrite_ast_expr(e, map);
                     }
                 }
@@ -199,55 +286,31 @@ fn rewrite_ast_expr(e: &mut Expr, map: &std::collections::HashMap<Span, i64>) {
     }
 }
 
-/// Rewrites procedure `p` in `out`, returning the substitution count.
+/// Procedure `p`'s CFG with every constant occurrence in its executable
+/// blocks replaced by the constant.
 fn rewrite_proc(
-    out: &mut ModuleCfg,
     mcfg: &ModuleCfg,
     p: ProcId,
     ssa: &SsaProc,
     res: &SccpResult,
     replacements: &mut Vec<(Span, i64)>,
-) -> usize {
-    let cfg = mcfg.cfg(p);
-    let mut count = 0usize;
-    for bi in 0..cfg.len() {
+) -> Cfg {
+    let mut cfg = mcfg.cfg(p).clone();
+    for (bi, block) in cfg.blocks.iter_mut().enumerate() {
         if !res.block_exec[bi] {
             continue;
         }
-        let b = BlockId::from(bi);
         let info = &ssa.blocks[bi];
-        let out_block = &mut out.cfgs[p.index()].blocks[b.index()];
-        for (si, stmt) in cfg.block(b).stmts.iter().enumerate() {
-            let (new_stmt, n) = rewrite_stmt(stmt, &info.stmts[si], res, replacements);
-            out_block.stmts[si] = new_stmt;
-            count += n;
+        for (stmt, si) in block.stmts.iter_mut().zip(&info.stmts) {
+            *stmt = rewrite_stmt(stmt, si, res, replacements);
         }
-        if let Terminator::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } = &cfg.block(b).term
-        {
+        if let Terminator::Branch { cond, .. } = &mut block.term {
             let mut idx = 0;
-            let mut n = 0;
-            let new_cond = rewrite_expr(
-                cond,
-                &info.term_use_vals,
-                &mut idx,
-                res,
-                &mut n,
-                replacements,
-            );
+            *cond = rewrite_expr(cond, &info.term_use_vals, &mut idx, res, replacements);
             debug_assert_eq!(idx, info.term_use_vals.len());
-            out_block.term = Terminator::Branch {
-                cond: new_cond,
-                then_bb: *then_bb,
-                else_bb: *else_bb,
-            };
-            count += n;
         }
     }
-    count
+    cfg
 }
 
 fn rewrite_stmt(
@@ -255,60 +318,57 @@ fn rewrite_stmt(
     info: &StmtInfo,
     res: &SccpResult,
     replacements: &mut Vec<(Span, i64)>,
-) -> (CStmt, usize) {
-    let mut n = 0usize;
+) -> CStmt {
     let mut idx = 0usize;
-    let new =
-        match (stmt, info) {
-            (CStmt::Assign { dst, value }, StmtInfo::Assign { use_vals, .. }) => {
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Assign { dst: *dst, value }
+    match (stmt, info) {
+        (CStmt::Assign { dst, value }, StmtInfo::Assign { use_vals, .. }) => {
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Assign { dst: *dst, value }
+        }
+        (
+            CStmt::Store {
+                array,
+                index,
+                value,
+            },
+            StmtInfo::Store { use_vals, .. },
+        ) => {
+            let index = rewrite_expr(index, use_vals, &mut idx, res, replacements);
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Store {
+                array: *array,
+                index,
+                value,
             }
-            (
-                CStmt::Store {
-                    array,
-                    index,
-                    value,
-                },
-                StmtInfo::Store { use_vals, .. },
-            ) => {
-                let index = rewrite_expr(index, use_vals, &mut idx, res, &mut n, replacements);
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Store {
-                    array: *array,
-                    index,
-                    value,
-                }
+        }
+        (CStmt::Print { value }, StmtInfo::Print { use_vals, .. }) => {
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Print { value }
+        }
+        (CStmt::Call { callee, args, site }, StmtInfo::Call { use_vals, .. }) => {
+            let mut new_args = Vec::with_capacity(args.len());
+            for a in args {
+                new_args.push(match a {
+                    Arg::Value(e) => {
+                        Arg::Value(rewrite_expr(e, use_vals, &mut idx, res, replacements))
+                    }
+                    // By-reference actuals cannot be replaced by values.
+                    other => other.clone(),
+                });
             }
-            (CStmt::Print { value }, StmtInfo::Print { use_vals, .. }) => {
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Print { value }
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Call {
+                callee: *callee,
+                args: new_args,
+                site: *site,
             }
-            (CStmt::Call { callee, args, site }, StmtInfo::Call { use_vals, .. }) => {
-                let mut new_args = Vec::with_capacity(args.len());
-                for a in args {
-                    new_args.push(match a {
-                        ipcp_ir::program::Arg::Value(e) => ipcp_ir::program::Arg::Value(
-                            rewrite_expr(e, use_vals, &mut idx, res, &mut n, replacements),
-                        ),
-                        // By-reference actuals cannot be replaced by values.
-                        other => other.clone(),
-                    });
-                }
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Call {
-                    callee: *callee,
-                    args: new_args,
-                    site: *site,
-                }
-            }
-            (CStmt::Read { dst }, StmtInfo::Read { .. }) => CStmt::Read { dst: *dst },
-            (stmt, info) => unreachable!("statement/annotation mismatch: {stmt:?} vs {info:?}"),
-        };
-    (new, n)
+        }
+        (CStmt::Read { dst }, StmtInfo::Read { .. }) => CStmt::Read { dst: *dst },
+        (stmt, info) => unreachable!("statement/annotation mismatch: {stmt:?} vs {info:?}"),
+    }
 }
 
 /// Rewrites an expression, replacing each scalar-variable occurrence whose
@@ -319,7 +379,6 @@ fn rewrite_expr(
     use_vals: &[ValueId],
     idx: &mut usize,
     res: &SccpResult,
-    count: &mut usize,
     replacements: &mut Vec<(Span, i64)>,
 ) -> Expr {
     match e {
@@ -329,7 +388,6 @@ fn rewrite_expr(
             *idx += 1;
             match res.value(val) {
                 Lattice::Const(c) => {
-                    *count += 1;
                     if !s.is_empty() {
                         replacements.push((*s, c));
                     }
@@ -340,17 +398,17 @@ fn rewrite_expr(
         }
         Expr::Load(arr, index, s) => Expr::Load(
             *arr,
-            Box::new(rewrite_expr(index, use_vals, idx, res, count, replacements)),
+            Box::new(rewrite_expr(index, use_vals, idx, res, replacements)),
             *s,
         ),
         Expr::Unary(op, x, s) => Expr::Unary(
             *op,
-            Box::new(rewrite_expr(x, use_vals, idx, res, count, replacements)),
+            Box::new(rewrite_expr(x, use_vals, idx, res, replacements)),
             *s,
         ),
         Expr::Binary(op, l, r, s) => {
-            let l = rewrite_expr(l, use_vals, idx, res, count, replacements);
-            let r = rewrite_expr(r, use_vals, idx, res, count, replacements);
+            let l = rewrite_expr(l, use_vals, idx, res, replacements);
+            let r = rewrite_expr(r, use_vals, idx, res, replacements);
             Expr::Binary(*op, Box::new(l), Box::new(r), *s)
         }
     }
@@ -375,9 +433,7 @@ pub fn intraprocedural_count(mcfg: &ModuleCfg) -> usize {
             &Seeds::none(mcfg.module.proc(p).vars.len()),
             &OpaqueCallsLattice,
         );
-        let mut dummy = mcfg.clone();
-        let mut replacements = Vec::new();
-        total += rewrite_proc(&mut dummy, mcfg, p, &ssa, &res, &mut replacements);
+        total += count_substitutable(&ssa, &res);
     }
     total
 }

@@ -21,7 +21,20 @@ use crate::span::Span;
 /// # Ok::<(), ipcp_ir::Diagnostics>(())
 /// ```
 pub fn lower_module(module: &Module) -> ModuleCfg {
-    let mut module = module.clone();
+    lower_module_owned(module.clone())
+}
+
+/// [`lower_module`] that takes the module by value, so no copy of it is
+/// made: the lowered [`ModuleCfg`] keeps `module` (with the compiler
+/// temporaries lowering appends) as its symbol table.
+///
+/// ```
+/// use ipcp_ir::{lower_module, lower_module_owned, parse_and_resolve};
+/// let m = parse_and_resolve("proc main() { print 1; }")?;
+/// assert_eq!(lower_module_owned(m.clone()), lower_module(&m));
+/// # Ok::<(), ipcp_ir::Diagnostics>(())
+/// ```
+pub fn lower_module_owned(mut module: Module) -> ModuleCfg {
     let cfgs = module
         .procs
         .iter_mut()

@@ -9,7 +9,7 @@
 
 mod lower;
 
-pub use lower::lower_module;
+pub use lower::{lower_module, lower_module_owned};
 
 use crate::program::{Arg, Expr, Module, ProcId, VarId};
 use std::fmt;

@@ -21,9 +21,7 @@ fn main() {
         let mcfg = prog.module_cfg();
 
         let t0 = Instant::now();
-        let plain = Analysis::run(&mcfg, &Config::polynomial())
-            .substitute(&mcfg)
-            .total;
+        let plain = Analysis::run(&mcfg, &Config::polynomial()).substitution_total(&mcfg);
         let t_plain = t0.elapsed();
 
         let t0 = Instant::now();
@@ -36,7 +34,7 @@ fn main() {
             .build()
             .expect("gated over polynomial is valid");
         let t0 = Instant::now();
-        let gated = Analysis::run(&mcfg, &gated_config).substitute(&mcfg).total;
+        let gated = Analysis::run(&mcfg, &gated_config).substitution_total(&mcfg);
         let t_gated = t0.elapsed();
 
         println!("{name}:");

@@ -23,7 +23,7 @@ fn main() {
         let config = Config::default().with_jump_fn(kind);
         let start = Instant::now();
         let analysis = Analysis::run(&mcfg, &config);
-        let substituted = analysis.substitute(&mcfg).total;
+        let substituted = analysis.substitution_total(&mcfg);
         let elapsed = start.elapsed();
         println!(
             "{:<18} {:>10} {:>12} {:>12} {:>9.2?}",

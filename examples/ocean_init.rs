@@ -17,12 +17,12 @@ fn main() {
     let layout = SlotLayout::new(&mcfg.module);
 
     let with = Analysis::run(&mcfg, &Config::default());
-    let with_count = with.substitute(&mcfg).total;
+    let with_count = with.substitution_total(&mcfg);
     println!("== with return jump functions: {with_count} constants ==\n");
     print!("{}", with.vals.display(&mcfg, &layout));
 
     let without = Analysis::run(&mcfg, &Config::default().with_return_jfs(false));
-    let without_count = without.substitute(&mcfg).total;
+    let without_count = without.substitution_total(&mcfg);
     println!("\n== without return jump functions: {without_count} constants ==\n");
     print!("{}", without.vals.display(&mcfg, &layout));
 

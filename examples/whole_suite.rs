@@ -17,7 +17,7 @@ fn main() {
     for p in PROGRAMS {
         let mcfg = p.module_cfg();
         let analysis = Analysis::run(&mcfg, &Config::default());
-        let substituted = analysis.substitute(&mcfg);
+        let substituted = analysis.substitution_total(&mcfg);
         let exec =
             run_module(&p.module(), p.inputs, &ExecLimits::default()).expect("suite programs run");
         println!(
@@ -26,7 +26,7 @@ fn main() {
             mcfg.module.procs.len(),
             analysis.cg.n_edges(),
             analysis.vals.n_constants(),
-            substituted.total,
+            substituted,
             analysis.vals.iterations,
             exec.output.len(),
         );
