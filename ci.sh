@@ -404,14 +404,16 @@ stage_fuzz() {
 
 stage_bench_par() {
     # The parallelism trend gate. Runs both bench binaries at low rep
-    # count with a jobs={1,2,4} sweep (jobs=1 is the baseline inside the
-    # binaries). What GATES is identity: jobs=1 vs jobs=N and wavefront
-    # vs the §4.1 worklist reference must agree bit-for-bit — the
-    # binaries exit nonzero on divergence, and the grep is a
-    # belt-and-braces check that the JSON actually carries identity
-    # records. Speedups are WARN-LINES only: they are machine-dependent
-    # and physically capped at 1.0x on single-core runners, so the JSON
-    # records `cores` and the trend is read by humans, not the gate.
+    # count with a jobs={1,2,4} sweep (jobs=1 is the baseline inside
+    # bench_par). What GATES is identity: jobs=1 vs jobs=N must agree
+    # bit-for-bit, and the §4.1 worklist reference and the binding
+    # multigraph must reach the wavefront's VAL fixpoint — the binaries
+    # exit nonzero on divergence, and the grep is a belt-and-braces check
+    # that the JSON actually carries identity records. Speedups and solver
+    # cost ratios are WARN-LINES only: they are machine-dependent
+    # (speedups are physically capped at 1.0x on single-core runners), so
+    # the JSON records `cores` and the trend is read by humans, not the
+    # gate.
     [ -x target/release/bench_par ] && [ -x target/release/bench_solver ] \
         || cargo build --release -q -p ipcp-bench
     IPCP_BENCH_REPS=2 IPCP_BENCH_JOBS=2,4 ./target/release/bench_par
@@ -433,7 +435,7 @@ stage_bench_par() {
         BENCH_par.json | while read -r line; do
         echo "    warn: $line (cores=$cores)"
     done
-    sed -n 's/.*"program": "\([a-z]*\)",.*"jobs_speedup": \([0-9.]*\),.*/\1 jobs_speedup \2x/p' \
+    sed -n 's/.*"program": "\([a-z]*\)",.*"worklist_ratio": \([0-9.]*\), "binding_ratio": \([0-9.]*\),.*/\1 worklist\/wavefront \2x binding\/wavefront \3x/p' \
         BENCH_solver.json | while read -r line; do
         echo "    warn: solver $line (cores=$cores)"
     done

@@ -1,28 +1,29 @@
-//! Measures the wavefront `VAL` solver against the classic §4.1 FIFO
-//! worklist it replaced, and verifies the determinism contract along the
-//! way: the wavefront at `jobs = 1` and `jobs >= 2` must agree
-//! bit-for-bit on `vals`/`meets`/`iterations`, and both must reach the
-//! same `VAL` fixpoint as the worklist reference.
+//! Measures the wavefront `VAL` solver against the two other solvers the
+//! crate keeps, and verifies along the way that all three reach the same
+//! `VAL` fixpoint:
 //!
-//! Three timings per workload (jump functions are built once; only the
-//! propagation is timed):
-//!
-//! * `seq_us` — wavefront, `jobs = 1`;
-//! * `par_us` — wavefront, `jobs >= 2`;
+//! * `wavefront_us` — [`solve`], the solver the pipeline runs;
 //! * `worklist_us` — [`solve_worklist_reference`], the retained §4.1
-//!   solver.
+//!   procedure-level worklist;
+//! * `binding_us` — [`solve_binding_graph`], the slot-level
+//!   binding-multigraph solver that realizes the §3.1.5 `O(Σ cost(J))`
+//!   bound.
 //!
-//! `speedup` is `worklist_us / par_us` — the headline number. It is an
-//! *algorithmic* win as much as a concurrency one: the worklist
-//! re-evaluates a procedure every time a meet lowers one of its slots,
-//! while the dependency-levelled wavefront evaluates each activated SCC
-//! once with all caller meets already applied, so it survives single-core
-//! containers. `jobs_speedup` (`seq_us / par_us`) isolates the threading
-//! contribution for transparency.
+//! Jump functions are built once per workload; only the propagation is
+//! timed. `worklist_ratio` and `binding_ratio` divide each alternative's
+//! time by the wavefront's, so a ratio above 1 means the wavefront is
+//! faster. The worklist's gap is algorithmic: it re-evaluates a procedure
+//! every time a meet lowers one of its slots, while the
+//! dependency-levelled wavefront evaluates each activated SCC once with
+//! all caller meets already applied.
 //!
+//! Exits nonzero when a solver's fixpoint diverges from the wavefront's.
 //! Writes `BENCH_solver.json` into the current directory.
 
-use ipcp::{solve, solve_worklist_reference, Analysis, Config, Governor, Lattice, ValSets};
+use ipcp::{
+    solve, solve_binding_graph, solve_worklist_reference, Analysis, Config, Governor, Lattice,
+    ValSets,
+};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::SlotLayout;
 use ipcp_suite::{generate, GenConfig};
@@ -159,82 +160,52 @@ fn reps() -> u32 {
         .unwrap_or(5)
 }
 
-/// Best-of-[`reps`] wall time for one wavefront configuration, returning
-/// the last result so the caller can compare across configurations.
-fn time_wavefront(
-    mcfg: &ModuleCfg,
-    a: &Analysis,
-    layout: &SlotLayout,
-    config: &Config,
-    jobs: usize,
-) -> (Duration, ValSets, Vec<bool>) {
-    let n = mcfg.module.procs.len();
+/// Best-of-[`reps`] wall time of `run`, returning the last result so the
+/// caller can compare the solvers' fixpoints.
+fn best_of(mut run: impl FnMut() -> ValSets) -> (Duration, ValSets) {
     let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..reps() {
-        let mut gov = Governor::new(config);
-        let mut quarantined = vec![false; n];
-        let t0 = Instant::now();
-        let (v, _) = solve(
-            mcfg,
-            &a.cg,
-            layout,
-            &a.jump_fns,
-            Lattice::Bottom,
-            config,
-            &mut gov,
-            &mut quarantined,
-            jobs,
-        );
-        best = best.min(t0.elapsed());
-        last = Some((v, quarantined));
-    }
-    let (v, q) = last.unwrap_or_else(|| {
-        (
-            ValSets {
-                vals: Vec::new(),
-                meets: 0,
-                iterations: 0,
-            },
-            Vec::new(),
-        )
-    });
-    (best, v, q)
-}
-
-/// Best-of-[`reps`] wall time for the worklist reference.
-fn time_worklist(mcfg: &ModuleCfg, a: &Analysis, layout: &SlotLayout) -> (Duration, ValSets) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..reps() {
-        let mut gov = Governor::unlimited();
-        let t0 = Instant::now();
-        let v =
-            solve_worklist_reference(mcfg, &a.cg, layout, &a.jump_fns, Lattice::Bottom, &mut gov);
-        best = best.min(t0.elapsed());
-        last = Some(v);
-    }
-    let v = last.unwrap_or(ValSets {
+    let mut last = ValSets {
         vals: Vec::new(),
         meets: 0,
         iterations: 0,
-    });
-    (best, v)
+    };
+    for _ in 0..reps() {
+        let t0 = Instant::now();
+        last = run();
+        best = best.min(t0.elapsed());
+    }
+    (best, last)
+}
+
+/// The wavefront solver over `a`'s jump functions.
+fn wavefront(mcfg: &ModuleCfg, a: &Analysis, layout: &SlotLayout, config: &Config) -> ValSets {
+    let mut quarantined = vec![false; mcfg.module.procs.len()];
+    solve(
+        mcfg,
+        &a.cg,
+        layout,
+        &a.jump_fns,
+        Lattice::Bottom,
+        config,
+        &mut Governor::new(config),
+        &mut quarantined,
+        1,
+    )
+    .0
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let par_jobs = Config::default().effective_jobs().max(2);
     let config = Config::polynomial();
     let mut rows = Vec::new();
     println!(
-        "{:<8} {:>6} {:>10} {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}",
+        "{:<8} {:>6} {:>12} {:>12} {:>10} {:>8} {:>8} {:>8} {:>8}",
         "program",
         "procs",
-        "seq_us",
-        "par_us",
+        "wavefront_us",
         "worklist_us",
-        "speedup",
-        "jobs_spd",
+        "binding_us",
+        "wl_ratio",
+        "bg_ratio",
         "wf_iter",
         "wl_iter"
     );
@@ -252,72 +223,86 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let analysis = Analysis::run(&mcfg, &config);
         let layout = SlotLayout::new(&mcfg.module);
 
-        let (seq_t, seq_v, seq_q) = time_wavefront(&mcfg, &analysis, &layout, &config, 1);
-        let (par_t, par_v, par_q) = time_wavefront(&mcfg, &analysis, &layout, &config, par_jobs);
-        let (wl_t, wl_v) = time_worklist(&mcfg, &analysis, &layout);
-
-        // The determinism contract: the parallel schedule must not be
-        // observable (vals, meets, iterations, quarantine flags), and the
-        // wavefront must reach the worklist's VAL fixpoint.
-        if par_v != seq_v || par_q != seq_q {
-            return Err(format!(
-                "jobs={par_jobs} diverged from jobs=1 on workload `{}`",
-                w.name
+        let (wf_t, wf_v) = best_of(|| wavefront(&mcfg, &analysis, &layout, &config));
+        let (wl_t, wl_v) = best_of(|| {
+            let cg = &analysis.cg;
+            let mut gov = Governor::unlimited();
+            solve_worklist_reference(
+                &mcfg,
+                cg,
+                &layout,
+                &analysis.jump_fns,
+                Lattice::Bottom,
+                &mut gov,
             )
-            .into());
-        }
-        if seq_v.vals != wl_v.vals {
-            return Err(format!(
-                "wavefront fixpoint diverged from the worklist reference on `{}`",
-                w.name
+        });
+        let (bg_t, bg_v) = best_of(|| {
+            let cg = &analysis.cg;
+            let mut gov = Governor::unlimited();
+            solve_binding_graph(
+                &mcfg,
+                cg,
+                &layout,
+                &analysis.jump_fns,
+                Lattice::Bottom,
+                &mut gov,
             )
-            .into());
+        });
+
+        // Every solver must reach the wavefront's VAL fixpoint (meets and
+        // iterations are schedule-dependent; only `vals` is comparable).
+        for (name, v) in [("worklist reference", &wl_v), ("binding multigraph", &bg_v)] {
+            if v.vals != wf_v.vals {
+                return Err(format!(
+                    "{name} fixpoint diverged from the wavefront on `{}`",
+                    w.name
+                )
+                .into());
+            }
         }
 
-        let speedup = wl_t.as_secs_f64() / par_t.as_secs_f64().max(1e-9);
-        let jobs_speedup = seq_t.as_secs_f64() / par_t.as_secs_f64().max(1e-9);
+        let ratio = |t: Duration| t.as_secs_f64() / wf_t.as_secs_f64().max(1e-9);
+        let (wl_ratio, bg_ratio) = (ratio(wl_t), ratio(bg_t));
         println!(
-            "{:<8} {:>6} {:>10} {:>10} {:>12} {:>7.2}x {:>7.2}x {:>8} {:>8}",
+            "{:<8} {:>6} {:>12} {:>12} {:>10} {:>7.2}x {:>7.2}x {:>8} {:>8}",
             w.name,
             n_procs,
-            seq_t.as_micros(),
-            par_t.as_micros(),
+            wf_t.as_micros(),
             wl_t.as_micros(),
-            speedup,
-            jobs_speedup,
-            seq_v.iterations,
+            bg_t.as_micros(),
+            wl_ratio,
+            bg_ratio,
+            wf_v.iterations,
             wl_v.iterations,
         );
         rows.push(format!(
             concat!(
-                "    {{\"program\": \"{}\", \"n_procs\": {}, \"seq_us\": {}, ",
-                "\"par_us\": {}, \"worklist_us\": {}, \"speedup\": {:.3}, ",
-                "\"jobs_speedup\": {:.3}, \"wavefront_iterations\": {}, ",
+                "    {{\"program\": \"{}\", \"n_procs\": {}, \"wavefront_us\": {}, ",
+                "\"worklist_us\": {}, \"binding_us\": {}, \"worklist_ratio\": {:.3}, ",
+                "\"binding_ratio\": {:.3}, \"wavefront_iterations\": {}, ",
                 "\"worklist_iterations\": {}, \"identical\": true}}"
             ),
             w.name,
             n_procs,
-            seq_t.as_micros(),
-            par_t.as_micros(),
+            wf_t.as_micros(),
             wl_t.as_micros(),
-            speedup,
-            jobs_speedup,
-            seq_v.iterations,
+            bg_t.as_micros(),
+            wl_ratio,
+            bg_ratio,
+            wf_v.iterations,
             wl_v.iterations,
         ));
     }
 
     let reps = reps();
-    // Physical parallelism actually available: on a single-core container
-    // `jobs_speedup > 1` is unattainable and only `identical` matters.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
-        "{{\n  \"jobs\": {par_jobs},\n  \"cores\": {cores},\n  \"reps\": {reps},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"cores\": {cores},\n  \"reps\": {reps},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_solver.json", &json)?;
-    println!("wrote BENCH_solver.json (jobs={par_jobs}, cores={cores}, best of {reps})");
+    println!("wrote BENCH_solver.json (cores={cores}, best of {reps})");
     Ok(())
 }

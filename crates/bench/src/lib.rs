@@ -9,8 +9,9 @@
 //! * `table3` — polynomial without MOD / with MOD / complete propagation /
 //!   purely intraprocedural propagation.
 //!
-//! Run e.g. `cargo run -p ipcp-bench --bin table2`. The Criterion benches
-//! in `benches/` measure the corresponding compile-time costs (§3.1.5).
+//! Run e.g. `cargo run -p ipcp-bench --bin table2`. The `bench_solver`
+//! binary measures the solve cost of §3.1.5 (wavefront, §4.1 worklist
+//! and binding multigraph over the same jump functions).
 
 pub mod tables;
 pub mod trend;

@@ -516,6 +516,37 @@ fn no_quarantine_lets_the_injected_panic_crash() {
 }
 
 #[test]
+fn no_quarantine_never_runs_a_modref_unit_whose_charge_fails() {
+    // MOD/REF charges one unit per procedure, in order: with a cap of 2,
+    // procedures #2 and #3 are widened without running, so the panic
+    // injected into #3 never fires even though quarantine is off.
+    let path = write_temp(
+        "modref-skip",
+        "global g; \
+         proc main() { g = 1; call a(2); } \
+         proc a(x) { call b(x); } \
+         proc b(y) { call c(y); } \
+         proc c(z) { print z + g; }",
+    );
+    let out = ipcc()
+        .args([
+            "analyze",
+            "--max-solver-iterations",
+            "2",
+            "--inject-panic",
+            "modref:3",
+            "--no-quarantine",
+        ])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("b: direct-effects budget exhausted"), "{err}");
+    assert!(err.contains("c: direct-effects budget exhausted"), "{err}");
+}
+
+#[test]
 fn expired_deadline_degrades_and_strict_promotes_it_to_exit_3() {
     let path = write_temp("deadline", DEMO);
     // --deadline-ms 0 expires immediately; without --strict the run still

@@ -12,7 +12,8 @@
 //! [`solve_binding_graph`] computes exactly the same fixpoint as
 //! [`crate::solver::solve`] (the lattice is finite-depth and both run the
 //! same monotone equations to exhaustion); `tests` and the property suite
-//! assert the equivalence, and the Criterion benches compare their costs.
+//! assert the equivalence, and the `bench_solver` binary compares their
+//! costs (exiting nonzero if the fixpoints ever differ).
 
 use crate::config::Stage;
 use crate::health::Governor;

@@ -307,8 +307,9 @@ pub struct Config {
     /// effects, SSA/symbolic + forward jump functions, return jump
     /// functions). `0` (the default) resolves automatically: the
     /// `IPCP_JOBS` environment variable when set, otherwise the machine's
-    /// available parallelism. `1` is the sequential path. Results are
-    /// bit-identical for every value — see `docs/ROBUSTNESS.md`.
+    /// available parallelism. `1` runs every phase on the calling thread.
+    /// Results are bit-identical for every value — see
+    /// `docs/ROBUSTNESS.md`.
     pub jobs: usize,
     /// Strict mode: any degradation event promotes to
     /// [`IpcpError::ResourceExhausted`](crate::IpcpError) in
@@ -763,7 +764,7 @@ mod tests {
     fn builder_rejects_parallel_without_quarantine() {
         let err = Config::builder().jobs(4).quarantine(false).build();
         assert!(matches!(err, Err(crate::IpcpError::InvalidConfig(_))));
-        // jobs = 1 without quarantine is fine: that IS the sequential path.
+        // jobs = 1 without quarantine is fine: nothing runs on a worker.
         assert!(Config::builder().jobs(1).quarantine(false).build().is_ok());
     }
 
@@ -786,7 +787,7 @@ mod tests {
     #[test]
     fn effective_jobs_explicit_and_quarantine_override() {
         assert_eq!(Config::default().with_jobs(3).effective_jobs(), 3);
-        // Quarantine off forces the sequential path regardless of jobs.
+        // Quarantine off forces jobs = 1 regardless of the request.
         let c = Config::default().with_quarantine(false).with_jobs(8);
         assert_eq!(c.effective_jobs(), 1);
         // Auto-detect resolves to something positive.

@@ -318,6 +318,22 @@ impl Governor {
         self.counters[i] <= self.cap(stage)
     }
 
+    /// How many further charges to `stage` succeed before the first one
+    /// that trips its cap or an armed fault. Trip conditions are monotone
+    /// in the counter, so every charge after that one fails too: a phase
+    /// that charges exactly once per unit, in unit order, knows before
+    /// running any unit which ones its charges will refuse.
+    pub(crate) fn clean_charges(&self, stage: Stage) -> u64 {
+        let charged = self.counters[stage_index(stage)];
+        let mut clean = self.cap(stage).saturating_sub(charged);
+        if let Some(fault) = self.config.fault_injection {
+            if fault.stage == stage {
+                clean = clean.min(fault.at.saturating_sub(1).saturating_sub(charged));
+            }
+        }
+        clean
+    }
+
     /// Whether `stage` would trip right now, without charging.
     pub fn exhausted(&self, stage: Stage) -> bool {
         let i = stage_index(stage);
@@ -381,10 +397,13 @@ mod tests {
             ..AnalysisLimits::default()
         };
         let mut gov = Governor::new(&Config::default().with_limits(limits));
+        assert_eq!(gov.clean_charges(Stage::Solver), 3);
         assert!(gov.charge(Stage::Solver));
         assert!(gov.charge(Stage::Solver));
+        assert_eq!(gov.clean_charges(Stage::Solver), 1);
         assert!(gov.charge(Stage::Solver));
         assert!(!gov.charge(Stage::Solver), "4th charge exceeds cap of 3");
+        assert_eq!(gov.clean_charges(Stage::Solver), 0);
         // Other stages are unaffected.
         assert!(gov.charge(Stage::Jump));
     }
@@ -392,6 +411,7 @@ mod tests {
     #[test]
     fn fault_injection_trips_exactly_at_n() {
         let mut gov = Governor::new(&Config::default().with_fault(Stage::RetJump, 2));
+        assert_eq!(gov.clean_charges(Stage::RetJump), 1);
         assert!(gov.charge(Stage::RetJump));
         assert!(!gov.charge(Stage::RetJump), "2nd charge hits the fault");
         // A fault at one stage leaves the others alone.

@@ -218,28 +218,20 @@ pub fn build_forward_jump_fns(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ForwardJumpFns {
-    let mut out = empty_sites(mcfg);
-    // `cg.edges` is grouped by caller in ascending index order, so the
-    // per-caller decomposition visits exactly the same edges in exactly
-    // the same order as a flat edge loop would.
-    for (caller, q) in quarantined.iter_mut().enumerate() {
-        let (fns, quar) =
-            build_caller_jump_fns(mcfg, cg, layout, config, symbolics, caller, *q, gov);
-        commit_caller(&mut out, caller, fns);
-        *q = quar;
-    }
-    out
+    crate::par::with_pool(1, |pool| {
+        build_forward_jump_fns_on(mcfg, cg, layout, config, symbolics, quarantined, gov, pool).0
+    })
 }
 
-/// Parallel [`build_forward_jump_fns`]: each caller's edges are one unit,
+/// [`build_forward_jump_fns`] on `pool`: each caller's edges are one unit,
 /// run optimistically against a governor shard; the fold walks callers in
 /// ascending index order and either absorbs the shard (when
-/// [`Governor::can_absorb`] proves the charges land exactly where
-/// sequential charging would have put them) or replays the caller
-/// sequentially against the master. Results, telemetry, and quarantine
-/// flags are bit-identical to the sequential driver.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential driver's signature plus the pool
-pub(crate) fn build_forward_jump_fns_par(
+/// [`Governor::can_absorb`] proves the charges land exactly where in-order
+/// charging would have put them) or replays the caller against the
+/// master. Results, telemetry, and quarantine flags are the same for
+/// every pool size.
+#[allow(clippy::too_many_arguments)] // the public entry point's signature plus the pool
+pub(crate) fn build_forward_jump_fns_on(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
     layout: &SlotLayout,
@@ -254,7 +246,7 @@ pub(crate) fn build_forward_jump_fns_par(
     let proto = gov.shard();
     let (units, mut time) = pool.run(n, |caller| {
         let mut shard = proto.shard();
-        let (fns, quar) = build_caller_jump_fns(
+        let (row, quar) = build_caller_jump_fns(
             mcfg,
             cg,
             layout,
@@ -264,67 +256,45 @@ pub(crate) fn build_forward_jump_fns_par(
             snapshot[caller],
             &mut shard,
         );
-        PhaseUnit::new(caller, Ok((fns, quar)), shard)
+        PhaseUnit::new(caller, Ok((row, quar)), shard)
     });
 
-    let mut out = empty_sites(mcfg);
+    let mut sites = Vec::with_capacity(n);
     let mut fold = PhaseFold::default();
     for (caller, pu) in units.into_iter().enumerate() {
-        match fold.try_absorb(gov, pu, true) {
-            Some(Ok((fns, quar))) => {
-                commit_caller(&mut out, caller, fns);
-                quarantined[caller] = quar;
-            }
+        let (row, quar) = match fold.try_absorb(gov, pu, true) {
+            Some(Ok(unit)) => unit,
             Some(Err(e)) => {
                 // Panics are contained per call site inside the unit and
                 // reported through the quarantine flag, never the outcome.
                 unreachable!("jump units never fail the outcome: {e}")
             }
-            None => {
-                // The optimistic charges would cross a budget cap or fault
-                // trip point somewhere inside this unit; rerun it against
-                // the master so each charge sees the exact sequential
-                // counter.
-                let (fns, quar) = build_caller_jump_fns(
-                    mcfg,
-                    cg,
-                    layout,
-                    config,
-                    symbolics,
-                    caller,
-                    snapshot[caller],
-                    gov,
-                );
-                commit_caller(&mut out, caller, fns);
-                quarantined[caller] = quar;
-            }
-        }
+            // The optimistic charges would cross a budget cap or fault
+            // trip point somewhere inside this unit; rerun it against the
+            // master so each charge sees the exact in-order counter.
+            None => build_caller_jump_fns(
+                mcfg,
+                cg,
+                layout,
+                config,
+                symbolics,
+                caller,
+                snapshot[caller],
+                gov,
+            ),
+        };
+        sites.push(row);
+        quarantined[caller] = quar;
     }
     fold.stamp(&mut time);
-    (out, time)
+    (ForwardJumpFns { sites }, time)
 }
 
-fn empty_sites(mcfg: &ModuleCfg) -> ForwardJumpFns {
-    ForwardJumpFns {
-        sites: mcfg
-            .module
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(p, _)| vec![Vec::new(); mcfg.cfgs[p].n_call_sites])
-            .collect(),
-    }
-}
-
-fn commit_caller(out: &mut ForwardJumpFns, caller: usize, fns: Vec<(usize, SiteJumpFns)>) {
-    for (site, f) in fns {
-        out.sites[caller][site] = f;
-    }
-}
-
-/// Builds the jump functions for every call site of one caller — the unit
-/// of both the sequential and the parallel driver. Returns the per-site
-/// functions plus the caller's (possibly newly set) quarantine flag.
+/// Builds the jump functions for every call site of one caller — the
+/// phase's unit, and its replay. Returns the caller's row of
+/// [`ForwardJumpFns::sites`] (an empty entry for every call site left
+/// without jump functions) plus the caller's (possibly newly set)
+/// quarantine flag.
 #[allow(clippy::too_many_arguments)]
 fn build_caller_jump_fns(
     mcfg: &ModuleCfg,
@@ -335,20 +305,20 @@ fn build_caller_jump_fns(
     caller: usize,
     already_quarantined: bool,
     gov: &mut Governor,
-) -> (Vec<(usize, SiteJumpFns)>, bool) {
+) -> (Vec<SiteJumpFns>, bool) {
     let n_globals = layout.scalar_globals.len();
     // Loop-invariant: every edge below has `edge.caller == caller`, so
     // borrow the name once instead of cloning it per edge.
     let caller_name: &str = &mcfg.module.proc(ProcId::from(caller)).name;
     let mut quar = already_quarantined;
-    let mut out: Vec<(usize, SiteJumpFns)> = Vec::new();
+    let mut out: Vec<SiteJumpFns> = vec![Vec::new(); mcfg.cfgs[caller].n_call_sites];
     for edge in cg.calls_from(ProcId::from(caller)) {
         let callee = mcfg.module.proc(edge.callee);
         let all_bottom = || vec![JumpFn::Bottom; callee.arity() + n_globals];
         if quar {
             // Already contained by an earlier phase (or an earlier edge):
             // the site still binds the callee, just with no information.
-            out.push((edge.site.index(), all_bottom()));
+            out[edge.site.index()] = all_bottom();
             continue;
         }
         let Some(ps) = symbolics[caller].as_ref() else {
@@ -396,7 +366,7 @@ fn build_caller_jump_fns(
                 all_bottom()
             }
         };
-        out.push((edge.site.index(), fns));
+        out[edge.site.index()] = fns;
     }
     (out, quar)
 }

@@ -1,22 +1,15 @@
-//! A dependency-free scoped worker pool for the per-procedure phases.
+//! A dependency-free persistent worker pool for the per-procedure phases.
 //!
 //! The repo is offline-vendored, so this is `std::thread::scope` plus an
 //! atomic self-scheduling counter — no external crates, no channels, no
-//! locks. Two drivers share that substrate:
-//!
-//! * [`run`] — the original spawn-per-call pool: workers pull unit
-//!   indices from a shared [`AtomicUsize`] (`fetch_add` work stealing: a
-//!   worker stuck on a heavy procedure simply claims fewer units), stash
-//!   `(index, result)` pairs in a thread-local vector, and the results
-//!   are merged back into input order after the join. Still used by the
-//!   one-shot transformation drivers (`complete`, `cloning`, `inline`).
-//! * [`with_pool`] / [`Pool`] — a **persistent** pool for the analysis
-//!   pipeline: workers are spawned once per `Analysis::run` and parked
-//!   between rounds, so a phase that dispatches one round per SCC level
-//!   (the solver wavefront, return jump functions) pays a park/unpark
-//!   per level instead of a full thread spawn + join. Each participant
-//!   gets its own [`Scratch`] per round ([`Pool::run_with_scratch`]), so
-//!   units reuse buffers instead of round-tripping the global allocator.
+//! locks. [`with_pool`] spawns `jobs - 1` workers once and parks them
+//! between rounds, so a phase that dispatches one round per SCC level
+//! (return jump functions) pays a park/unpark per level instead of a full
+//! thread spawn + join. Each [`Pool::run`] round hands out unit indices
+//! through a shared `fetch_add` ticket (a worker stuck on a heavy
+//! procedure simply claims fewer units) and returns the results in index
+//! order. With `jobs <= 1` the pool has no workers and every round runs
+//! inline on the caller — the same code path at every job count.
 //!
 //! Order of *execution* is nondeterministic; order of *results* is
 //! not — which is all the deterministic fold in
@@ -29,7 +22,6 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
@@ -49,11 +41,12 @@ pub struct PhaseTime {
     pub workers: usize,
     /// Units of work (procedures, callers, or SCCs) processed.
     pub units: usize,
-    /// Parallel-fold units whose optimistic governor shard merged
-    /// cleanly (result kept as computed). 0 on the sequential path.
+    /// Fold units whose optimistic governor shard merged cleanly (result
+    /// kept as computed). Counted at every job count by the phases that
+    /// fold shards (return and forward jump functions); 0 elsewhere.
     pub absorbed: usize,
-    /// Parallel-fold units discarded and replayed sequentially against
-    /// the authoritative governor. 0 on the sequential path.
+    /// Fold units discarded and replayed against the authoritative
+    /// governor. Counted like `absorbed`.
     pub replayed: usize,
 }
 
@@ -122,8 +115,8 @@ pub struct Timings {
     /// Symbolic evaluation (pruned SSA too, under `pruned_ssa`) and
     /// forward jump functions (per-procedure / per-caller).
     pub jump: PhaseTime,
-    /// The interprocedural VAL solve (wavefront over the SCC levels of
-    /// the call-graph condensation; parallel within each level).
+    /// The interprocedural VAL solve (a sequential wavefront over the SCC
+    /// levels of the call-graph condensation).
     pub solve: PhaseTime,
     /// Whole `run_once`, wall clock.
     pub total: Duration,
@@ -170,107 +163,10 @@ impl Timings {
     }
 }
 
-/// Runs `f(0) .. f(n - 1)` on up to `jobs` scoped workers and returns the
-/// results **in index order**, plus the phase accounting.
-///
-/// * `jobs <= 1` or `n <= 1` short-circuits to a plain sequential loop on
-///   the calling thread (no threads spawned, no atomics touched).
-/// * Workers self-schedule via `fetch_add` on a shared counter, so load
-///   balances at unit granularity without a queue or a lock.
-/// * A panicking closure is **not** caught here: the panic is re-raised
-///   on the calling thread after every worker has drained (the quarantine
-///   layer inside `f` is what catches per-procedure panics; one escaping
-///   it means quarantine was off, and then the contract is to propagate).
-pub fn run<T, F>(jobs: usize, n: usize, f: F) -> (Vec<T>, PhaseTime)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let start = Instant::now();
-    if jobs <= 1 || n <= 1 {
-        let results: Vec<T> = (0..n).map(&f).collect();
-        return (results, PhaseTime::sequential(start.elapsed(), n));
-    }
-
-    let workers = jobs.min(n);
-    let next = AtomicUsize::new(0);
-    let mut per_worker: Vec<(Vec<(usize, T)>, Duration)> = Vec::with_capacity(workers);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let t0 = Instant::now();
-                let mut mine: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    mine.push((i, f(i)));
-                }
-                (mine, t0.elapsed())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(out) => per_worker.push(out),
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    let busy = per_worker.iter().map(|(_, d)| *d).sum();
-    let mut indexed: Vec<(usize, T)> = per_worker
-        .into_iter()
-        .flat_map(|(results, _)| results)
-        .collect();
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    let results = indexed.into_iter().map(|(_, r)| r).collect();
-    (
-        results,
-        PhaseTime {
-            wall: start.elapsed(),
-            busy,
-            workers,
-            units: n,
-            absorbed: 0,
-            replayed: 0,
-        },
-    )
-}
-
-/// Per-worker reusable scratch buffers, handed to each unit by
-/// [`Pool::run_with_scratch`] (and threaded through the sequential folds)
-/// so hot units stop allocating per-unit `Vec`s / `VecDeque`s.
-///
-/// The buffers are deliberately generic — a dense `bool` flag vector and
-/// an index queue — because that is the working set of the wavefront
-/// solver's per-SCC evaluation (`queued` + FIFO worklist). Units must
-/// leave the buffers in a reusable state (cleared or fully popped); the
-/// helpers below reset cheaply without releasing capacity.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// Dense per-member flags (e.g. the solver's `queued` bits).
-    pub flags: Vec<bool>,
-    /// Index FIFO (e.g. the solver's intra-SCC worklist).
-    pub queue: VecDeque<usize>,
-}
-
-impl Scratch {
-    /// Clears and resizes `flags` to `n` `false`s, keeping capacity, and
-    /// empties the queue.
-    pub fn reset(&mut self, n: usize) {
-        self.flags.clear();
-        self.flags.resize(n, false);
-        self.queue.clear();
-    }
-}
-
 /// One in-flight round: a type-erased borrow of the caller's participate
 /// closure. Workers only dereference it between the epoch bump that
 /// publishes it and their check-in for the same round, and
-/// [`Pool::run_with_scratch`] does not return (or unpublish) until every
+/// [`Pool::run`] does not return (or unpublish) until every
 /// spawned worker has checked in — that window is what makes the
 /// lifetime erasure sound.
 #[derive(Clone, Copy)]
@@ -349,7 +245,7 @@ impl PoolShared {
 impl Drop for PoolShared {
     fn drop(&mut self) {
         // Free a stored payload that was never re-raised (cannot happen
-        // through `run_with_scratch`, but keeps the type leak-free).
+        // through `Pool::run`, but keeps the type leak-free).
         drop(self.take_panic());
     }
 }
@@ -406,7 +302,7 @@ impl Drop for ShutdownGuard<'_> {
 
 /// A persistent worker pool: `jobs - 1` scoped workers, parked between
 /// rounds. Created by [`with_pool`]; `jobs <= 1` yields a pool with no
-/// workers whose `run` methods degrade to the plain sequential loop.
+/// workers, whose rounds run inline on the caller.
 pub struct Pool<'env> {
     shared: Option<&'env PoolShared>,
     workers: Vec<Thread>,
@@ -416,11 +312,10 @@ pub struct Pool<'env> {
 /// calling thread, which participates in every round). The workers are
 /// spawned once and parked between rounds — a multi-round phase (one
 /// round per SCC level) pays a park/unpark per round instead of a thread
-/// spawn + join, which is what flipped the wavefront solver's parallel
-/// path from slower-than-sequential to competitive.
+/// spawn + join.
 ///
-/// Panics raised inside a round propagate to the caller of the `run`
-/// method (after the round has fully drained); a panic in `f` itself
+/// Panics raised inside a round propagate to the caller of
+/// [`Pool::run`] (after the round has fully drained); a panic in `f` itself
 /// shuts the workers down cleanly before the scope joins.
 pub fn with_pool<R>(jobs: usize, f: impl FnOnce(&Pool<'_>) -> R) -> R {
     if jobs <= 1 {
@@ -469,57 +364,28 @@ impl<T> ResultSlots<'_, T> {
 }
 
 impl<'env> Pool<'env> {
-    /// Whether rounds actually fan out to workers (false for the
-    /// sequential `jobs <= 1` pool).
-    pub fn parallel(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Total participants per round: the caller plus the workers.
     pub fn participants(&self) -> usize {
         self.workers.len() + 1
     }
 
-    /// Runs `f(0) .. f(n - 1)` across the pool, returning results in
-    /// index order plus the phase accounting. See
-    /// [`Pool::run_with_scratch`] for the scratch-buffer variant this
-    /// forwards to.
+    /// Runs `f(0) .. f(n - 1)` across the pool, returning results **in
+    /// index order** plus the phase accounting.
+    ///
+    /// A pool without workers, or a round of at most one unit, runs the
+    /// units inline on the calling thread. Panics inside `f` are caught
+    /// per participant, and the first one is re-raised on the calling
+    /// thread **after** the round has fully drained.
     pub fn run<T, F>(&self, n: usize, f: F) -> (Vec<T>, PhaseTime)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_with_scratch(n, Scratch::default, |_, i| f(i))
-    }
-
-    /// Runs `f(&mut scratch, 0) .. f(&mut scratch, n - 1)` across the
-    /// pool, returning results **in index order** plus the accounting.
-    ///
-    /// Every participant builds one scratch value per round
-    /// (`make_scratch`) and reuses it across all the units it claims, so
-    /// per-unit buffers amortize to one allocation per worker per round.
-    /// The sequential pool reuses a single scratch across all `n` units.
-    ///
-    /// Panics inside `f` are caught per participant, and the first one
-    /// is re-raised on the calling thread **after** the round has fully
-    /// drained (same contract as [`run`]).
-    pub fn run_with_scratch<T, S, M, F>(
-        &self,
-        n: usize,
-        make_scratch: M,
-        f: F,
-    ) -> (Vec<T>, PhaseTime)
-    where
-        T: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
         let start = Instant::now();
         let shared = match self.shared {
             Some(shared) if n > 1 => shared,
             _ => {
-                let mut scratch = make_scratch();
-                let results: Vec<T> = (0..n).map(|i| f(&mut scratch, i)).collect();
+                let results: Vec<T> = (0..n).map(&f).collect();
                 return (results, PhaseTime::sequential(start.elapsed(), n));
             }
         };
@@ -528,13 +394,12 @@ impl<'env> Pool<'env> {
         let slots_ref = &ResultSlots(&slots);
         let next = AtomicUsize::new(0);
         let participate = || {
-            let mut scratch = make_scratch();
             loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 if i >= n {
                     break;
                 }
-                let v = f(&mut scratch, i);
+                let v = f(i);
                 // SAFETY: index `i` was claimed by exactly this
                 // participant (atomic ticket), so the slot is unaliased.
                 unsafe { slots_ref.fill(i, v) };
@@ -612,16 +477,21 @@ mod tests {
     #[test]
     fn results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
-            let (out, pt) = run(jobs, 100, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(pt.units, 100);
-            assert!(pt.workers >= 1 && pt.workers <= jobs.max(1));
+            for n in [2, 3, 17, 100] {
+                let (out, pt) = with_pool(jobs, |pool| pool.run(n, |i| i * i));
+                assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
+                assert_eq!(pt.units, n);
+                assert!(pt.workers >= 1 && pt.workers <= jobs);
+            }
         }
     }
 
     #[test]
     fn sequential_path_spawns_no_workers() {
-        let (out, pt) = run(1, 5, |i| i + 1);
+        let (out, pt) = with_pool(1, |pool| {
+            assert_eq!(pool.participants(), 1);
+            pool.run(5, |i| i + 1)
+        });
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
         assert_eq!(pt.workers, 1);
         assert_eq!(pt.busy, pt.wall);
@@ -630,13 +500,15 @@ mod tests {
     #[test]
     fn single_unit_stays_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let (out, _) = run(8, 1, |_| std::thread::current().id());
-        assert_eq!(out, vec![caller]);
+        for jobs in [1, 8] {
+            let (out, _) = with_pool(jobs, |pool| pool.run(1, |_| std::thread::current().id()));
+            assert_eq!(out, vec![caller]);
+        }
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let (out, pt) = run(4, 0, |i| i);
+        let (out, pt) = with_pool(1, |pool| pool.run(0, |i| i));
         assert!(out.is_empty());
         assert_eq!(pt.units, 0);
         assert!((0.0..=1.0).contains(&pt.utilization()));
@@ -645,17 +517,20 @@ mod tests {
 
     #[test]
     fn worker_count_never_exceeds_unit_count() {
-        let (out, pt) = run(16, 3, |i| i);
+        let (out, pt) = with_pool(8, |pool| pool.run(3, |i| i));
         assert_eq!(out, vec![0, 1, 2]);
         assert!(pt.workers <= 3);
     }
 
     #[test]
     fn panics_propagate_to_the_caller() {
+        // Without workers the round runs inline, and so does the panic.
         let res = std::panic::catch_unwind(|| {
-            run(4, 10, |i| {
-                assert!(i != 7, "unit 7 exploded");
-                i
+            with_pool(1, |pool| {
+                pool.run(10, |i| {
+                    assert!(i != 7, "unit 7 exploded");
+                    i
+                })
             })
         });
         assert!(res.is_err());
@@ -663,9 +538,11 @@ mod tests {
 
     #[test]
     fn utilization_is_bounded() {
-        let (_, pt) = run(4, 64, |i| {
-            // A little uneven work so busy time is non-trivial.
-            (0..(i % 7) * 1000).fold(0u64, |a, b| a.wrapping_add(b as u64))
+        let (_, pt) = with_pool(4, |pool| {
+            pool.run(64, |i| {
+                // A little uneven work so busy time is non-trivial.
+                (0..(i % 7) * 1000).fold(0u64, |a, b| a.wrapping_add(b as u64))
+            })
         });
         let u = pt.utilization();
         assert!((0.0..=1.0).contains(&u), "{u}");
@@ -675,9 +552,9 @@ mod tests {
     fn pool_results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
             with_pool(jobs, |pool| {
-                assert_eq!(pool.parallel(), jobs > 1);
-                // Several rounds through the same pool, like the
-                // wavefront's one-round-per-level dispatch.
+                assert_eq!(pool.participants(), jobs);
+                // Several rounds through the same pool, like retjump's
+                // one-round-per-level dispatch.
                 for round in 0..5usize {
                     let (out, pt) = pool.run(100, |i| i * i + round);
                     assert_eq!(out, (0..100).map(|i| i * i + round).collect::<Vec<_>>());
@@ -686,19 +563,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn pool_scratch_is_reused_across_units() {
-        with_pool(2, |pool| {
-            let (out, _) = pool.run_with_scratch(64, Scratch::default, |scratch, i| {
-                scratch.reset(8);
-                scratch.queue.push_back(i);
-                scratch.flags[i % 8] = true;
-                scratch.queue.pop_front().map(|v| v * 2)
-            });
-            assert_eq!(out, (0..64).map(|i| Some(i * 2)).collect::<Vec<_>>());
-        });
     }
 
     #[test]
@@ -728,15 +592,6 @@ mod tests {
         let res =
             std::panic::catch_unwind(|| with_pool(4, |_pool| -> () { panic!("driver exploded") }));
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn pool_matches_spawn_per_call_results() {
-        with_pool(3, |pool| {
-            let (a, _) = pool.run(41, |i| i as u64 * 3 + 1);
-            let (b, _) = run(3, 41, |i| i as u64 * 3 + 1);
-            assert_eq!(a, b);
-        });
     }
 
     #[test]

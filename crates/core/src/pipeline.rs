@@ -6,11 +6,9 @@
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
 use crate::health::{AnalysisHealth, Governor};
-use crate::jump::{
-    build_forward_jump_fns, build_forward_jump_fns_par, ForwardJumpFns, ProcSymbolic,
-};
+use crate::jump::{build_forward_jump_fns_on, ForwardJumpFns, ProcSymbolic};
 use crate::par::{PhaseTime, Timings};
-use crate::retjump::{build_return_jfs_par, return_jfs_over, RetOracle, ReturnJumpFns};
+use crate::retjump::{build_return_jfs_on, RetOracle, ReturnJumpFns};
 use crate::solver::ValSets;
 use crate::substitute::{self, Substitution};
 use ipcp_analysis::{
@@ -254,58 +252,38 @@ impl Analysis {
         // visible"; the fixpoint spreads the widening to callers exactly
         // as far as reference bindings demand.
         //
-        // `jobs == 1` takes the original sequential loop verbatim (charge,
-        // then run the unit only if the charge succeeded — the path
-        // `--no-quarantine` debugging relies on). `jobs > 1` runs every
-        // unit optimistically (units are pure and make no charges) and
-        // folds in procedure order, charging the master governor exactly
-        // where the sequential loop would; a charge that fails discards
-        // the unit's result, reproducing the sequential skip bit for bit.
+        // Units run on the pool and fold in procedure order, charging the
+        // governor once per procedure. A procedure whose charge fails is
+        // widened without its unit ever running — the path
+        // `--no-quarantine` debugging relies on. The charges are exactly
+        // one per procedure, in order, so the first refused procedure is
+        // known before the round starts.
         let n_globals = mcfg.module.globals.len();
         let t0 = Instant::now();
-        let mut mods = Vec::with_capacity(n_procs);
-        let mut refs = Vec::with_capacity(n_procs);
-        if !pool.parallel() {
-            for (pi, p) in mcfg.module.procs.iter().enumerate() {
-                let (m, r) = if !gov.charge(Stage::ModRef) {
-                    quarantined[pi] = true;
-                    gov.record_quarantine(
-                        Stage::ModRef,
-                        format!(
-                            "{}: direct-effects budget exhausted; \
-                             summary widened to everything visible",
-                            p.name
-                        ),
-                    );
-                    widen_modref(p.arity(), n_globals)
-                } else {
-                    let pid = ProcId::from(pi);
-                    let unit = crate::quarantine::run_unit(config, Stage::ModRef, pi, || {
-                        direct_effects(mcfg, pid)
-                    });
-                    commit_modref_unit(
-                        &p.name,
-                        unit,
-                        p.arity(),
-                        n_globals,
-                        pi,
-                        &mut quarantined,
-                        &mut gov,
-                    )
-                };
-                mods.push(m);
-                refs.push(r);
-            }
-            timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
-        } else {
-            let (units, pt) = pool.run(n_procs, |pi| {
+        let first_refused = usize::try_from(gov.clean_charges(Stage::ModRef)).unwrap_or(usize::MAX);
+        let (units, pt) = pool.run(n_procs, |pi| {
+            (pi < first_refused).then(|| {
                 crate::quarantine::run_unit(config, Stage::ModRef, pi, || {
                     direct_effects(mcfg, ProcId::from(pi))
                 })
-            });
-            for (pi, unit) in units.into_iter().enumerate() {
-                let p = &mcfg.module.procs[pi];
-                let (m, r) = if !gov.charge(Stage::ModRef) {
+            })
+        });
+        let mut mods = Vec::with_capacity(n_procs);
+        let mut refs = Vec::with_capacity(n_procs);
+        for (pi, unit) in units.into_iter().enumerate() {
+            let p = &mcfg.module.procs[pi];
+            let charged = gov.charge(Stage::ModRef);
+            let (m, r) = match unit {
+                Some(unit) if charged => commit_modref_unit(
+                    &p.name,
+                    unit,
+                    p.arity(),
+                    n_globals,
+                    pi,
+                    &mut quarantined,
+                    &mut gov,
+                ),
+                _ => {
                     quarantined[pi] = true;
                     gov.record_quarantine(
                         Stage::ModRef,
@@ -316,22 +294,12 @@ impl Analysis {
                         ),
                     );
                     widen_modref(p.arity(), n_globals)
-                } else {
-                    commit_modref_unit(
-                        &p.name,
-                        unit,
-                        p.arity(),
-                        n_globals,
-                        pi,
-                        &mut quarantined,
-                        &mut gov,
-                    )
-                };
-                mods.push(m);
-                refs.push(r);
-            }
-            timings.modref = pt.spanning(t0.elapsed());
+                }
+            };
+            mods.push(m);
+            refs.push(r);
         }
+        timings.modref = pt.spanning(t0.elapsed());
         let modref = propagate_modref(mcfg, &cg, mods, refs);
 
         let mod_kills = ModKills(&modref);
@@ -355,28 +323,15 @@ impl Analysis {
         };
 
         // Stage 2: return jump functions (bottom-up over the call graph;
-        // parallel over the SCC levels of the condensation).
-        let t1 = Instant::now();
+        // one pool round per SCC level of the condensation).
         let (ret_jfs, mut handoff) = if !config.use_return_jfs {
             let table = ReturnJumpFns {
                 fns: vec![None; n_procs],
                 compose: false,
             };
             (table, Vec::new())
-        } else if !pool.parallel() {
-            let (table, syms) = return_jfs_over(
-                mcfg,
-                &cg,
-                &layout,
-                &ssas,
-                config,
-                &mut quarantined,
-                &mut gov,
-            );
-            timings.retjump = PhaseTime::sequential(t1.elapsed(), cg.bottom_up().count());
-            (table, syms)
         } else {
-            let (table, syms, pt) = build_return_jfs_par(
+            let (table, syms, pt) = build_return_jfs_on(
                 mcfg,
                 &cg,
                 &layout,
@@ -457,33 +412,20 @@ impl Analysis {
                 &mut gov,
             );
         }
-        let jump_fns = if !pool.parallel() {
-            build_forward_jump_fns(
-                mcfg,
-                &cg,
-                &layout,
-                config,
-                &symbolics,
-                &mut quarantined,
-                &mut gov,
-            )
-        } else {
-            let (jump_fns, pt_fwd) = build_forward_jump_fns_par(
-                mcfg,
-                &cg,
-                &layout,
-                config,
-                &symbolics,
-                &mut quarantined,
-                &mut gov,
-                pool,
-            );
-            pt.absorb(pt_fwd);
-            jump_fns
-        };
+        let (jump_fns, pt_fwd) = build_forward_jump_fns_on(
+            mcfg,
+            &cg,
+            &layout,
+            config,
+            &symbolics,
+            &mut quarantined,
+            &mut gov,
+            pool,
+        );
+        pt.absorb(pt_fwd);
         pt.units = n_procs;
         timings.jump = pt.spanning(t2.elapsed());
-        Self::finish_on(
+        Self::finish(
             mcfg,
             config,
             cg,
@@ -496,52 +438,13 @@ impl Analysis {
             quarantined,
             timings,
             t_run,
-            pool,
         )
     }
 
-    /// [`Analysis::finish_on`] without a caller-provided pool: used by
-    /// serve's incremental path, whose phases upstream of the solve are
-    /// cache replays (sequential by construction).
+    /// Stage 3 (the interprocedural wavefront solve) and assembly — the
+    /// shared tail of `run_once_on` and serve's incremental path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
-        mcfg: &ModuleCfg,
-        config: &Config,
-        cg: CallGraph,
-        modref: ModRef,
-        layout: SlotLayout,
-        ret_jfs: ReturnJumpFns,
-        symbolics: Vec<Option<ProcSymbolic>>,
-        jump_fns: ForwardJumpFns,
-        gov: Governor,
-        quarantined: Vec<bool>,
-        timings: Timings,
-        t_run: Instant,
-    ) -> Analysis {
-        crate::par::with_pool(timings.jobs, |pool| {
-            Self::finish_on(
-                mcfg,
-                config,
-                cg,
-                modref,
-                layout,
-                ret_jfs,
-                symbolics,
-                jump_fns,
-                gov,
-                quarantined,
-                timings,
-                t_run,
-                pool,
-            )
-        })
-    }
-
-    /// Stage 3 (the interprocedural wavefront solve, parallel over the
-    /// SCC levels when the pool is) and assembly — shared tail of both
-    /// `run_once_on` paths.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_on(
         mcfg: &ModuleCfg,
         config: &Config,
         cg: CallGraph,
@@ -554,14 +457,13 @@ impl Analysis {
         mut quarantined: Vec<bool>,
         mut timings: Timings,
         t_run: Instant,
-        pool: &crate::par::Pool<'_>,
     ) -> Analysis {
         let entry_globals = if config.assume_zero_globals {
             Lattice::Const(0)
         } else {
             Lattice::Bottom
         };
-        let (vals, solve_time) = crate::solver::solve_on(
+        let (vals, solve_time) = crate::solver::solve(
             mcfg,
             &cg,
             &layout,
@@ -570,7 +472,7 @@ impl Analysis {
             config,
             &mut gov,
             &mut quarantined,
-            pool,
+            1,
         );
         timings.solve = solve_time;
         timings.total = t_run.elapsed();
@@ -636,8 +538,8 @@ pub(crate) fn widen_modref(arity: usize, n_globals: usize) -> (ModSet, ModSet) {
 
 /// Commits one MOD/REF unit outcome: the pair on success, the sound
 /// widening (plus a quarantine event) on a contained panic. Shared by the
-/// sequential loop and the parallel fold so both record byte-identical
-/// telemetry.
+/// pipeline's fold and serve's incremental path so both record
+/// byte-identical telemetry.
 pub(crate) fn commit_modref_unit(
     name: &str,
     unit: Result<(ModSet, ModSet), UnitError>,
@@ -854,7 +756,7 @@ fn eval_proc_symbolic(
 }
 
 /// Commits one symbolic unit outcome into `symbolics`, recording the
-/// deadline/step-slice/panic events exactly as the sequential loop would.
+/// deadline/step-slice/panic events in procedure order.
 /// `stage_ssa` is the SSA stage's form of the procedure, moved into the
 /// committed [`ProcSymbolic`] unless the unit built its own.
 pub(crate) fn commit_symbolic_unit(

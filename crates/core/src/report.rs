@@ -181,12 +181,12 @@ impl PhaseReport {
         }
     }
 
-    /// Total units absorbed by the parallel folds (0 when sequential).
+    /// Total units absorbed by the phase folds.
     pub fn absorbed(&self) -> usize {
         self.rows.iter().map(|r| r.absorbed).sum()
     }
 
-    /// Total units replayed by the parallel folds.
+    /// Total units replayed by the phase folds.
     pub fn replayed(&self) -> usize {
         self.rows.iter().map(|r| r.replayed).sum()
     }
@@ -354,9 +354,10 @@ mod tests {
         let stages: Vec<&str> = pr.rows.iter().map(|r| r.stage).collect();
         assert_eq!(stages, ["modref", "retjump", "jump", "solve"]);
         assert_eq!(pr.jobs, 1);
-        // Sequential runs never touch the optimistic fold.
-        assert_eq!(pr.absorbed(), 0);
-        assert_eq!(pr.replayed(), 0);
+        // The fold runs at every job count; a healthy run absorbs every
+        // unit and replays none.
+        assert!(pr.absorbed() > 0, "{pr:?}");
+        assert_eq!(pr.replayed(), 0, "{pr:?}");
         let line = pr.render_row("probe");
         assert!(line.starts_with("probe"), "{line}");
         // Header and rows agree column-for-column (same widths, so the

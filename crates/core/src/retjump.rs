@@ -206,12 +206,11 @@ impl CallDefLattice for RetOracle<'_> {
     }
 }
 
-/// The call-side view of one recursive SCC while a parallel unit builds
-/// its members: the members' fresh entries (in build order) over the
-/// table the lower levels committed. This is exactly what the sequential
-/// driver's in-place table shows a member — built siblings are visible,
-/// unbuilt ones are not — without a private copy of the whole table per
-/// SCC.
+/// The call-side view of one recursive SCC while a pool unit builds its
+/// members: the members' fresh entries (in build order) over the table
+/// the lower levels committed. This is exactly what an in-place bottom-up
+/// walk shows a member — built siblings are visible, unbuilt ones are
+/// not — without a private copy of the whole table per SCC.
 struct SccOracle<'a> {
     base: RetOracle<'a>,
     scc_of: &'a [usize],
@@ -274,8 +273,9 @@ impl MemberOut {
 /// `kills` supplies the call-effect assumption (MOD-precise or worst-case)
 /// — the same oracle later used for forward jump functions, so both layers
 /// see one consistent world. This entry point builds each procedure's SSA
-/// form itself; the pipeline builds it once in its SSA stage and shares it
-/// with the forward phase instead.
+/// form itself and runs [`build_return_jfs_on`] on a pool without
+/// workers; the pipeline builds the SSA once in its SSA stage and shares
+/// it with the forward phase instead.
 ///
 /// Each procedure's slice (symbolic evaluation over its SSA form, slot
 /// classification) is a quarantine unit: a panic or a per-unit budget
@@ -292,57 +292,12 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
-    let (ssas, _) = crate::par::with_pool(1, |pool| {
-        build_ssa_stage(cg, config, quarantined, pool, &|p| {
+    crate::par::with_pool(1, |pool| {
+        let (ssas, _) = build_ssa_stage(cg, config, quarantined, pool, &|p| {
             build_ssa(mcfg, p, kills)
-        })
-    });
-    return_jfs_over(mcfg, cg, layout, &ssas, config, quarantined, gov).0
-}
-
-/// The sequential driver over the SSA stage's output (`ssas[p]` is
-/// procedure `p`'s slot). Besides the table it returns, per procedure,
-/// the symbolic evaluation handed to the forward phase (see
-/// [`crate::pipeline::reuses_ret_symbolic`]).
-pub(crate) fn return_jfs_over(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    layout: &SlotLayout,
-    ssas: &[SsaSlot],
-    config: &Config,
-    quarantined: &mut [bool],
-    gov: &mut Governor,
-) -> (ReturnJumpFns, Vec<Option<Symbolic>>) {
-    let n_procs = mcfg.module.procs.len();
-    let mut table = ReturnJumpFns {
-        fns: vec![None; n_procs],
-        compose: config.compose_return_jfs,
-    };
-    let mut syms: Vec<Option<Symbolic>> = (0..n_procs).map(|_| None).collect();
-    for p in cg.bottom_up() {
-        let oracle = RetOracle {
-            table: &table,
-            mcfg,
-            layout,
-        };
-        let out = run_scc_member(
-            mcfg,
-            &oracle,
-            layout,
-            ssas[p.index()].as_ref(),
-            config,
-            p,
-            quarantined[p.index()],
-            keeps_symbolic(config, cg, p),
-            gov,
-        );
-        if out.newly_quarantined {
-            quarantined[p.index()] = true;
-        }
-        table.fns[p.index()] = Some(out.fns);
-        syms[p.index()] = out.sym;
-    }
-    (table, syms)
+        });
+        build_return_jfs_on(mcfg, cg, layout, &ssas, config, quarantined, gov, pool).0
+    })
 }
 
 /// Whether `p`'s return-JF evaluation is final and will be reused by the
@@ -353,7 +308,10 @@ fn keeps_symbolic(config: &Config, cg: &CallGraph, p: ProcId) -> bool {
     crate::pipeline::reuses_ret_symbolic(config) && !cg.is_recursive(p)
 }
 
-/// Parallel [`return_jfs_over`].
+/// The return-jump-function phase over the SSA stage's output (`ssas[p]`
+/// is procedure `p`'s slot), on `pool`. Besides the table it returns, per
+/// procedure, the symbolic evaluation handed to the forward phase (see
+/// [`crate::pipeline::reuses_ret_symbolic`]).
 ///
 /// Return jump functions are the one per-procedure phase with *data*
 /// dependences: a procedure's construction reads the (already built)
@@ -365,18 +323,19 @@ fn keeps_symbolic(config: &Config, cg: &CallGraph, p: ProcId) -> bool {
 /// shard optimistically. Between levels the optimistic entries are moved
 /// into the shared table so the next level can read them.
 ///
-/// The fold then walks SCCs in the exact bottom-up (Tarjan emission)
-/// order the sequential driver uses. A unit is absorbed as-is when (a) no
-/// callee SCC's committed table differs from the optimistic one its run
-/// saw, and (b) [`Governor::can_absorb`] proves its charges land exactly
-/// where sequential charging would have. Otherwise the unit is replayed
-/// sequentially against the final table and master governor, and the
-/// difference (if any) propagates to its dependents through `changed`.
-/// Results, telemetry, and quarantine flags are bit-identical to the
-/// sequential driver. The returned [`PhaseTime`] spans the whole phase:
-/// the level rounds and the serial commits and fold between them.
+/// The fold then walks SCCs in bottom-up (Tarjan emission) order, the
+/// order in which charges, events and quarantine flags are defined. A
+/// unit is absorbed as-is when (a) no callee SCC's committed table
+/// differs from the optimistic one its run saw, and (b)
+/// [`Governor::can_absorb`] proves its charges land exactly where
+/// in-order charging would have. Otherwise the unit is replayed against
+/// the final table and master governor, and the difference (if any)
+/// propagates to its dependents through `changed`. Results are therefore
+/// the same for every pool size. The returned [`PhaseTime`] spans the
+/// whole phase: the level rounds and the serial commits and fold between
+/// them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_return_jfs_par(
+pub(crate) fn build_return_jfs_on(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
     layout: &SlotLayout,
@@ -398,7 +357,7 @@ pub(crate) fn build_return_jfs_par(
     // member `(newly_quarantined, handed-off symbolic)`.
     type SccOut = (Vec<(ProcId, Vec<JumpFn>)>, Vec<(bool, Option<Symbolic>)>);
 
-    // Optimistic phase: run each level's SCC units in parallel, committing
+    // Optimistic phase: run each level's SCC units on the pool, committing
     // their entries before the next level starts.
     let mut opt_table = ReturnJumpFns {
         fns: vec![None; n_procs],
@@ -451,7 +410,7 @@ pub(crate) fn build_return_jfs_par(
         }
     }
 
-    // Deterministic fold, in the sequential driver's SCC order.
+    // Deterministic fold, in bottom-up SCC order.
     let mut table = ReturnJumpFns {
         fns: vec![None; n_procs],
         compose,
@@ -461,7 +420,7 @@ pub(crate) fn build_return_jfs_par(
     let mut changed = vec![false; n_sccs];
     for si in 0..n_sccs {
         let Some(pu) = units[si].take() else {
-            continue; // unreachable SCC: never built, exactly as sequential
+            continue; // unreachable SCC: never built
         };
         let members = &cg.sccs[si];
         let dep_changed = members.iter().any(|&p| {
@@ -553,8 +512,8 @@ fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
 
 /// One procedure's slice of the bottom-up walk: the quarantine
 /// short-circuit, the quarantined unit over the procedure's SSA slot, and
-/// the panic containment — shared verbatim by the sequential driver, the
-/// optimistic parallel units, the fold's replay path, and serve. `oracle`
+/// the panic containment — shared verbatim by the optimistic units, the
+/// fold's replay path, and serve. `oracle`
 /// resolves callees' return jump functions; `keep_sym` asks for the
 /// evaluation to be handed back (see [`MemberOut::sym`]).
 #[allow(clippy::too_many_arguments)]
@@ -813,52 +772,41 @@ mod tests {
         assert_eq!(t.get(pid(&m, "f"), 0), Some(&JumpFn::Bottom));
     }
 
-    /// One driver's products: the table, the quarantine flags, and the
+    /// One run's products: the table, the quarantine flags, and the
     /// handed-off evaluations' values.
-    type DriverRun = (ReturnJumpFns, Vec<bool>, Vec<Option<Vec<SymVal>>>);
+    type PoolRun = (ReturnJumpFns, Vec<bool>, Vec<Option<Vec<SymVal>>>);
 
-    /// The sequential driver and the parallel one (with its per-SCC
-    /// overlay in place of a table copy) over the same SSA stage output.
-    fn both_drivers(src: &str) -> (ipcp_ir::ModuleCfg, CallGraph, [DriverRun; 2]) {
+    /// [`build_return_jfs_on`] (with its per-SCC overlay in place of a
+    /// table copy) on a pool without workers and on a pool of four.
+    fn both_pools(src: &str) -> (ipcp_ir::ModuleCfg, CallGraph, [PoolRun; 2]) {
         let m = lower_module(&parse_and_resolve(src).unwrap());
         let cg = build_call_graph(&m);
         let mr = compute_modref(&m, &cg);
         let layout = SlotLayout::new(&m.module);
-        let config = Config::default().with_jobs(2);
         let kills = ModKills(&mr);
         let n = m.module.procs.len();
-        let values =
-            |syms: Vec<Option<Symbolic>>| syms.into_iter().map(|s| s.map(|s| s.values)).collect();
-        let runs = crate::par::with_pool(2, |pool| {
-            let (ssas, _) = build_ssa_stage(&cg, &config, &vec![false; n], pool, &|p| {
-                build_ssa(&m, p, &kills)
-            });
-            let mut q_seq = vec![false; n];
-            let (seq, seq_syms) = return_jfs_over(
-                &m,
-                &cg,
-                &layout,
-                &ssas,
-                &config,
-                &mut q_seq,
-                &mut Governor::unlimited(),
-            );
-            let mut q_par = vec![false; n];
-            let (par, par_syms, _) = build_return_jfs_par(
-                &m,
-                &cg,
-                &layout,
-                &ssas,
-                &config,
-                &mut q_par,
-                &mut Governor::unlimited(),
-                pool,
-            );
-            [
-                (seq, q_seq, values(seq_syms)),
-                (par, q_par, values(par_syms)),
-            ]
-        });
+        let run = |jobs: usize| -> PoolRun {
+            let config = Config::default().with_jobs(jobs);
+            crate::par::with_pool(jobs, |pool| {
+                let (ssas, _) = build_ssa_stage(&cg, &config, &vec![false; n], pool, &|p| {
+                    build_ssa(&m, p, &kills)
+                });
+                let mut quarantined = vec![false; n];
+                let (table, syms, _) = build_return_jfs_on(
+                    &m,
+                    &cg,
+                    &layout,
+                    &ssas,
+                    &config,
+                    &mut quarantined,
+                    &mut Governor::unlimited(),
+                    pool,
+                );
+                let values = syms.into_iter().map(|s| s.map(|s| s.values)).collect();
+                (table, quarantined, values)
+            })
+        };
+        let runs = [run(1), run(4)];
         (m, cg, runs)
     }
 
@@ -867,7 +815,7 @@ mod tests {
         // f <-> g are mutually recursive, h calls itself, and leaf is
         // not recursive. Each recursive member reads its sibling's (or
         // its own) entry after the call.
-        let (m, cg, [(seq, q_seq, seq_syms), (par, q_par, par_syms)]) = both_drivers(
+        let (m, cg, [(one, q_one, one_syms), (four, q_four, four_syms)]) = both_pools(
             "global k; \
              proc main() { x = 1; call f(x); call h(x); call leaf(x); } \
              proc f(a) { a = 5; call g(a); a = 9; } \
@@ -875,14 +823,14 @@ mod tests {
              proc h(c) { if (c > 0) { c = c - 1; call h(c); } c = c + 5; } \
              proc leaf(d) { d = 4; }",
         );
-        assert_eq!(seq.fns, par.fns, "return jump functions differ");
-        assert_eq!(q_seq, q_par, "quarantine flags differ");
-        assert_eq!(seq_syms, par_syms, "handed-off evaluations differ");
+        assert_eq!(one.fns, four.fns, "return jump functions differ");
+        assert_eq!(q_one, q_four, "quarantine flags differ");
+        assert_eq!(one_syms, four_syms, "handed-off evaluations differ");
 
         let (f, g, h, leaf) = (pid(&m, "f"), pid(&m, "g"), pid(&m, "h"), pid(&m, "leaf"));
-        assert_eq!(seq.get(f, 0), Some(&JumpFn::Const(9)));
+        assert_eq!(one.get(f, 0), Some(&JumpFn::Const(9)));
         // A member sees a sibling built before it in the SCC, exactly as
-        // the sequential driver's in-place table shows it.
+        // an in-place bottom-up walk shows it.
         let scc = &cg.sccs[cg.scc_of[f.index()]];
         let f_first = scc.iter().position(|&p| p == f) < scc.iter().position(|&p| p == g);
         let expect_g = if f_first {
@@ -890,15 +838,15 @@ mod tests {
         } else {
             JumpFn::Bottom
         };
-        assert_eq!(seq.get(g, 0), Some(&expect_g));
+        assert_eq!(one.get(g, 0), Some(&expect_g));
         // h's own entry is unbuilt while h is evaluated: ⊥ after the call.
-        assert_eq!(seq.get(h, 0), Some(&JumpFn::Bottom));
-        assert_eq!(seq.get(leaf, 0), Some(&JumpFn::Const(4)));
+        assert_eq!(one.get(h, 0), Some(&JumpFn::Bottom));
+        assert_eq!(one.get(leaf, 0), Some(&JumpFn::Const(4)));
         // Only non-recursive procedures hand their evaluation on.
         for p in [f, g, h] {
-            assert!(seq_syms[p.index()].is_none(), "{p:?} is recursive");
+            assert!(one_syms[p.index()].is_none(), "{p:?} is recursive");
         }
-        assert!(seq_syms[leaf.index()].is_some());
+        assert!(one_syms[leaf.index()].is_some());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The cache-aware sequential pipeline driver.
 //!
-//! [`analyze_incremental`] mirrors the sequential path of
-//! [`Analysis::run_once`](crate::Analysis) stage by stage, consulting the
+//! [`analyze_incremental`] mirrors
+//! [`Analysis::run_once`](crate::Analysis) stage by stage, in unit order
+//! on the calling thread, consulting the
 //! [`SummaryCache`] before each per-procedure unit of work and staging
 //! freshly computed clean units into a [`CacheTxn`]. The contract — the
 //! one the `serve-identity` oracle and the tier-1 differential tests
@@ -162,8 +163,8 @@ pub fn analyze_incremental(
     };
 
     // Stage 0: MOD/REF direct effects. The per-procedure charge is made
-    // by this loop (hit and miss alike), exactly as the cold sequential
-    // loop charges before running the unit; direct effects themselves
+    // by this loop (hit and miss alike), exactly as the cold fold
+    // charges, refusing the unit before it runs; direct effects themselves
     // charge nothing, so entries carry no recorded charges.
     let t0 = Instant::now();
     let mut mods = Vec::with_capacity(n_procs);

@@ -15,33 +15,24 @@
 //!
 //! The solve runs as a wavefront over the top-down levels of the
 //! call-graph SCC condensation. A cross-SCC call edge always targets a
-//! strictly later level, so the SCCs of one level never feed each other:
-//! they can be re-evaluated concurrently, and — since every jump function
-//! is monotone in its lattice inputs — one top-down pass with a local
-//! FIFO fixpoint inside each SCC reaches exactly the fixpoint the classic
-//! sequential worklist reaches. Each SCC unit is *dirty-driven*: it runs
-//! only when some member received a lowering meet (or is the entry), so
-//! the activation set matches the sequential worklist's and unreached
-//! procedures keep ⊤ untouched.
+//! strictly later level, and every jump function is monotone in its
+//! lattice inputs, so one top-down pass with a local FIFO fixpoint inside
+//! each SCC reaches exactly the fixpoint the classic sequential worklist
+//! reaches. Each SCC unit is *dirty-driven*: it runs only when some member
+//! received a lowering meet (or is the entry), so the activation set
+//! matches the sequential worklist's and unreached procedures keep ⊤
+//! untouched.
 //!
-//! Under `jobs > 1` the units of one level run on the
-//! [`par`](crate::par) worker pool against optimistic [`Governor`]
-//! shards; the results are folded back in the canonical order (ascending
-//! level, ascending SCC index) with
-//! [`Governor::can_absorb`]/[`Governor::absorb_shard`], replaying a unit
-//! against the master governor whenever its shard charges could not be
-//! proven bit-identical to sequential charging. Meets into callee `VAL`
-//! vectors are recorded per (caller, call site, slot) inside the unit and
-//! applied only during the fold, so the final `vals`, `meets`, and
-//! `iterations` are identical for every jobs count — the same contract
-//! the per-procedure phases follow (`docs/ROBUSTNESS.md`, "Concurrency
-//! contract").
+//! Units run in one canonical order — ascending level, ascending SCC
+//! index — on the calling thread, at every job count: the solve is a few
+//! milliseconds of a whole analysis, and dispatching its levels to the
+//! worker pool measured slower than evaluating them inline.
 
 use crate::config::{Config, Stage};
 use crate::health::Governor;
 use crate::jump::ForwardJumpFns;
-use crate::par::{PhaseTime, Pool, Scratch};
-use crate::pipeline::{PhaseFold, PhaseUnit, UnitError};
+use crate::par::PhaseTime;
+use crate::pipeline::UnitError;
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
@@ -170,14 +161,8 @@ fn topdown_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
     levels
 }
 
-/// What one SCC unit's evaluation produced, before the fold commits it.
-struct UnitEval {
-    /// Final `VAL` vectors for the SCC members, in member order.
-    member_vals: Vec<Vec<Lattice>>,
-    /// Lattice contributions to callees *outside* the SCC, recorded in
-    /// (member, call site, slot) evaluation order and applied by the
-    /// fold. `(callee proc index, slot, incoming value)`.
-    contribs: Vec<(usize, usize, Lattice)>,
+/// The counters one SCC unit's evaluation reports back to [`solve`].
+struct UnitOutcome {
     meets: usize,
     iterations: usize,
     /// A governor charge failed mid-unit (budget cap or injected fault).
@@ -186,43 +171,47 @@ struct UnitEval {
     deadline: bool,
 }
 
+/// The per-unit `queued` flags and FIFO worklist, reused across every
+/// SCC unit of one solve instead of allocated per unit.
+#[derive(Default)]
+struct SccWorklist {
+    queued: Vec<bool>,
+    work: VecDeque<usize>,
+}
+
 /// Evaluates one SCC unit: a local FIFO fixpoint over the members, seeded
-/// by their dirty flags. Pure with respect to the global solver state —
-/// member `VAL`s are copied in, and meets into external callees are
-/// recorded as contributions, not applied. The same function serves the
-/// optimistic parallel pass (against a governor shard) and the
-/// deterministic replay (against the master), so both charge and panic at
-/// the same internal step.
+/// by their dirty flags. Each pop checks the deadline, fires the panic
+/// injection hook, charges the governor, and evaluates the member's call
+/// sites in order; meets land directly in `vals`, and an external callee
+/// that lowers is marked in `dirty`.
+///
+/// External callees live at strictly later levels, so nothing reads them
+/// before their own unit runs; and on a panic/trip/deadline the partially
+/// applied meets are erased by the quarantine ⊥-fill or
+/// `degrade_reachable`. Taking the caller's row out with `mem::take`
+/// avoids a per-edge snapshot for external calls.
 #[allow(clippy::too_many_arguments)]
-fn eval_unit(
+fn eval_scc(
     cg: &CallGraph,
     jump_fns: &ForwardJumpFns,
     config: &Config,
     members: &[ProcId],
     scc: usize,
-    vals: &[Vec<Lattice>],
-    dirty: &[bool],
+    vals: &mut [Vec<Lattice>],
+    dirty: &mut [bool],
     gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> UnitEval {
-    let mut out = UnitEval {
-        member_vals: members.iter().map(|&p| vals[p.index()].clone()).collect(),
-        // Presized for a typical unit's external contributions — spares
-        // the realloc chain on fan-out-heavy procedures.
-        contribs: Vec::with_capacity(64),
+    worklist: &mut SccWorklist,
+) -> UnitOutcome {
+    let mut out = UnitOutcome {
         meets: 0,
         iterations: 0,
         tripped: false,
         deadline: false,
     };
-    // The per-unit `queued` flags and FIFO worklist live in the
-    // participant's reusable scratch — one allocation per worker per
-    // round instead of two per SCC unit.
-    scratch.reset(members.len());
-    let Scratch {
-        flags: queued,
-        queue: work,
-    } = scratch;
+    let SccWorklist { queued, work } = worklist;
+    queued.clear();
+    queued.resize(members.len(), false);
+    work.clear();
     for (li, &p) in members.iter().enumerate() {
         if dirty[p.index()] {
             queued[li] = true;
@@ -245,149 +234,6 @@ fn eval_unit(
         }
         queued[li] = false;
         out.iterations += 1;
-        for edge in cg.calls_from(p) {
-            let site_fns = jump_fns.at(p, edge.site);
-            if site_fns.is_empty() {
-                continue; // unreachable call site
-            }
-            if cg.scc_of[edge.callee.index()] == scc {
-                // Intra-SCC meet mutates a member vector (possibly the
-                // caller's own), so evaluate against a snapshot.
-                let caller_vals = out.member_vals[li].clone();
-                let Some(lj) = members.iter().position(|&m| m == edge.callee) else {
-                    unreachable!("intra-SCC callee missing from member list");
-                };
-                let mut changed = false;
-                for (slot, jf) in site_fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_vals
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    out.meets += 1;
-                    changed |= out.member_vals[lj][slot].meet_in(incoming);
-                }
-                if changed && !queued[lj] {
-                    queued[lj] = true;
-                    work.push_back(lj);
-                }
-            } else {
-                // External contributions only read the caller's vector —
-                // no snapshot needed (the in-place worklist cannot make
-                // this split, which is part of the wavefront's edge).
-                let caller_vals = &out.member_vals[li];
-                for (slot, jf) in site_fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_vals
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    out.meets += 1;
-                    out.contribs.push((edge.callee.index(), slot, incoming));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs [`eval_unit`] under the quarantine contract: panics are contained
-/// (with the quiet hook) when `config.quarantine` is on, and propagate
-/// when it is off — the same semantics `quarantine::run_unit` gives the
-/// per-procedure phases, minus the unit-entry injection (the solver fires
-/// the hook per member re-evaluation instead).
-#[allow(clippy::too_many_arguments)]
-fn eval_unit_guarded(
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    config: &Config,
-    members: &[ProcId],
-    scc: usize,
-    vals: &[Vec<Lattice>],
-    dirty: &[bool],
-    gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> Result<UnitEval, UnitError> {
-    if config.quarantine {
-        crate::quarantine::quiet_catch(|| {
-            eval_unit(
-                cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-            )
-        })
-        .map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
-    } else {
-        Ok(eval_unit(
-            cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-        ))
-    }
-}
-
-/// The counters a unit evaluation reports back to the fold, without the
-/// buffered state (which the in-place mode applies as it goes).
-struct UnitOutcome {
-    meets: usize,
-    iterations: usize,
-    tripped: bool,
-    deadline: bool,
-}
-
-/// The in-place twin of [`eval_unit`], used on the canonical path
-/// (`jobs <= 1` and replays): the same per-pop sequence — deadline check,
-/// panic injection, governor charge, edge evaluation in call-site order —
-/// but meets land directly in `vals`/`dirty` instead of being buffered.
-///
-/// This is observation-equivalent to evaluate-then-commit: external
-/// callees live at strictly later levels (same-level SCCs never call each
-/// other), so nothing reads them before this level's fold completes; and
-/// on a panic/trip/deadline the partially applied meets are erased by the
-/// quarantine ⊥-fill or `degrade_reachable` exactly as the buffered
-/// mode's discarded state would have been. What it buys: no member-vector
-/// copies, no contribution buffer, and — via `mem::take` of the caller's
-/// row — no per-edge snapshot for external calls either.
-#[allow(clippy::too_many_arguments)]
-fn eval_unit_inplace(
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    config: &Config,
-    members: &[ProcId],
-    scc: usize,
-    vals: &mut [Vec<Lattice>],
-    dirty: &mut [bool],
-    gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> UnitOutcome {
-    let mut out = UnitOutcome {
-        meets: 0,
-        iterations: 0,
-        tripped: false,
-        deadline: false,
-    };
-    scratch.reset(members.len());
-    let Scratch {
-        flags: queued,
-        queue: work,
-    } = scratch;
-    for (li, &p) in members.iter().enumerate() {
-        if dirty[p.index()] {
-            queued[li] = true;
-            work.push_back(li);
-        }
-    }
-    while let Some(li) = work.pop_front() {
-        let p = members[li];
-        if gov.deadline_expired() {
-            out.deadline = true;
-            return out;
-        }
-        crate::quarantine::maybe_inject(config, Stage::Solver, p.index());
-        if !gov.charge(Stage::Solver) {
-            out.tripped = true;
-            return out;
-        }
-        queued[li] = false;
-        out.iterations += 1;
         // Take the caller's row out so callee rows can be met into
         // without aliasing it (external callees are always other rows).
         let mut caller_row = std::mem::take(&mut vals[p.index()]);
@@ -402,8 +248,7 @@ fn eval_unit_inplace(
                 };
                 // Intra-SCC meets may lower the caller's own row
                 // (self-recursion lands in the taken row), so evaluate
-                // against a snapshot — matching the buffered mode's
-                // per-edge snapshot semantics.
+                // against a snapshot.
                 let snapshot = caller_row.clone();
                 let mut changed = false;
                 for (slot, jf) in site_fns.iter().enumerate() {
@@ -444,10 +289,13 @@ fn eval_unit_inplace(
     out
 }
 
-/// [`eval_unit_inplace`] under the same quarantine contract as
-/// [`eval_unit_guarded`].
+/// Runs [`eval_scc`] under the quarantine contract: panics are contained
+/// (with the quiet hook) when `config.quarantine` is on, and propagate
+/// when it is off — the same semantics `quarantine::run_unit` gives the
+/// per-procedure phases, minus the unit-entry injection (the solver fires
+/// the hook per member re-evaluation instead).
 #[allow(clippy::too_many_arguments)]
-fn eval_unit_inplace_guarded(
+fn eval_scc_guarded(
     cg: &CallGraph,
     jump_fns: &ForwardJumpFns,
     config: &Config,
@@ -456,18 +304,18 @@ fn eval_unit_inplace_guarded(
     vals: &mut [Vec<Lattice>],
     dirty: &mut [bool],
     gov: &mut Governor,
-    scratch: &mut Scratch,
+    worklist: &mut SccWorklist,
 ) -> Result<UnitOutcome, UnitError> {
     if config.quarantine {
         crate::quarantine::quiet_catch(|| {
-            eval_unit_inplace(
-                cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
+            eval_scc(
+                cg, jump_fns, config, members, scc, vals, dirty, gov, worklist,
             )
         })
         .map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
     } else {
-        Ok(eval_unit_inplace(
-            cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
+        Ok(eval_scc(
+            cg, jump_fns, config, members, scc, vals, dirty, gov, worklist,
         ))
     }
 }
@@ -488,10 +336,9 @@ fn degrade_reachable(vals: &mut [Vec<Lattice>], cg: &CallGraph) {
 ///
 /// `entry_globals` is the initial assumption for the entry procedure's
 /// global slots (⊥ for FORTRAN-style unknown, `Const(0)` for FT's defined
-/// zero initialization). `jobs` is the worker count for the per-level
-/// parallel pass (`<= 1` evaluates every unit inline against the master
-/// governor — the canonical sequential order the parallel fold
-/// reproduces).
+/// zero initialization). `_jobs` is unused: the solve runs on the calling
+/// thread at every job count, and the parameter stays only so existing
+/// callers keep compiling.
 ///
 /// Each procedure re-evaluation charges one [`Stage::Solver`] iteration
 /// to the governor. If the budget trips (or the deadline expires)
@@ -511,40 +358,7 @@ pub fn solve(
     config: &Config,
     gov: &mut Governor,
     quarantined: &mut [bool],
-    jobs: usize,
-) -> (ValSets, PhaseTime) {
-    // Standalone entry point: spin up a pool for the whole solve (one
-    // spawn per solve, not one per wavefront level). The pipeline calls
-    // `solve_on` directly with its own pool instead.
-    crate::par::with_pool(jobs, |pool| {
-        solve_on(
-            mcfg,
-            cg,
-            layout,
-            jump_fns,
-            entry_globals,
-            config,
-            gov,
-            quarantined,
-            pool,
-        )
-    })
-}
-
-/// [`solve`] against an existing worker [`Pool`] — the pipeline threads
-/// one pool through every phase so workers are spawned once per analysis
-/// run and parked between rounds.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_on(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    layout: &SlotLayout,
-    jump_fns: &ForwardJumpFns,
-    entry_globals: Lattice,
-    config: &Config,
-    gov: &mut Governor,
-    quarantined: &mut [bool],
-    pool: &Pool<'_>,
+    _jobs: usize,
 ) -> (ValSets, PhaseTime) {
     let t0 = Instant::now();
     let n_procs = mcfg.module.procs.len();
@@ -577,203 +391,104 @@ pub(crate) fn solve_on(
     let mut iterations = 0usize;
     let levels = topdown_levels(cg);
     let n_units: usize = levels.iter().map(Vec::len).sum();
-    let mut par_time = PhaseTime::default();
-    let mut fold = PhaseFold::default();
-    // The canonical fold's replay scratch, reused across every level.
-    let mut fold_scratch = Scratch::default();
+    let mut worklist = SccWorklist::default();
 
-    // Dispatching a round to the (parked) pool still costs a few
-    // park/unpark round-trips; a level with only a couple of activated
-    // units is cheaper to evaluate inline on the canonical path. Pure
-    // scheduling — the fold below produces identical results either way.
-    const MIN_PAR_UNITS: usize = 16;
-
-    'levels: for level in &levels {
-        // Optimistic parallel pass: every activated unit of the level runs
-        // on the pool against a fresh governor shard. Units read only
-        // their own members' (disjoint) slices of `vals`/`dirty`, so the
-        // inputs each unit sees are exactly what the canonical fold below
-        // would hand it.
-        let mut optimistic: Vec<Option<PhaseUnit<UnitEval>>> = Vec::new();
-        let n_active = level
-            .iter()
-            .filter(|&&si| cg.sccs[si].iter().any(|&m| dirty[m.index()]))
-            .count();
-        if pool.parallel() && n_active >= MIN_PAR_UNITS {
-            let proto = gov.shard();
-            let (outs, pt) = pool.run_with_scratch(level.len(), Scratch::default, |scratch, k| {
-                let members: &[ProcId] = &cg.sccs[level[k]];
-                if !members.iter().any(|&m| dirty[m.index()]) {
-                    return None; // never activated — nothing to evaluate
-                }
-                let mut shard = proto.shard();
-                let res = eval_unit_guarded(
-                    cg, jump_fns, config, members, level[k], &vals, &dirty, &mut shard, scratch,
-                );
-                Some(PhaseUnit::new(k, res, shard))
-            });
-            par_time.absorb(pt);
-            optimistic = outs;
+    for &si in levels.iter().flatten() {
+        let members: &[ProcId] = &cg.sccs[si];
+        if !members.iter().any(|&m| dirty[m.index()]) {
+            continue;
         }
-
-        // Canonical fold, in ascending SCC index order: absorb an
-        // optimistic unit when its shard charges provably land exactly as
-        // sequential charging would; replay it against the master
-        // otherwise (the replay re-trips, re-panics, and re-observes the
-        // deadline at the same internal step, because the unit's inputs
-        // are identical).
-        for (k, &si) in level.iter().enumerate() {
-            let members: &[ProcId] = &cg.sccs[si];
-            if !members.iter().any(|&m| dirty[m.index()]) {
-                continue;
-            }
-            let unit: Result<UnitOutcome, UnitError> =
-                match optimistic.get_mut(k).and_then(Option::take) {
-                    Some(pu) => {
-                        let clean = matches!(&pu.outcome, Ok(u) if !u.tripped && !u.deadline);
-                        let absorbable = clean || pu.outcome.is_err();
-                        match fold.try_absorb(gov, pu, absorbable) {
-                            Some(Ok(u)) => {
-                                // Commit the buffered unit: member rows
-                                // move in, external contributions are
-                                // met in recorded order. (Absorbed Ok
-                                // units are always clean — tripped or
-                                // deadlined ones replay below.)
-                                let outcome = UnitOutcome {
-                                    meets: u.meets,
-                                    iterations: u.iterations,
-                                    tripped: u.tripped,
-                                    deadline: u.deadline,
-                                };
-                                for (vm, &m) in u.member_vals.into_iter().zip(members) {
-                                    vals[m.index()] = vm;
-                                }
-                                for (callee, slot, incoming) in u.contribs {
-                                    if vals[callee][slot].meet_in(incoming) {
-                                        dirty[callee] = true;
-                                    }
-                                }
-                                Ok(outcome)
-                            }
-                            Some(Err(e)) => Err(e),
-                            None => eval_unit_inplace_guarded(
-                                cg,
-                                jump_fns,
-                                config,
-                                members,
-                                si,
-                                &mut vals,
-                                &mut dirty,
-                                gov,
-                                &mut fold_scratch,
-                            ),
+        let unit = eval_scc_guarded(
+            cg,
+            jump_fns,
+            config,
+            members,
+            si,
+            &mut vals,
+            &mut dirty,
+            gov,
+            &mut worklist,
+        );
+        match unit {
+            Err(e) => {
+                // Quarantine the whole SCC: a panic mid-fixpoint means
+                // the members' values (and any contribution they would
+                // have made) cannot be trusted to be post-fixpoint, so
+                // everything the unit touches degrades to ⊥. Skipping
+                // a call site's contribution instead would leave its
+                // callee unsoundly optimistic.
+                for &m in members {
+                    quarantined[m.index()] = true;
+                }
+                let names = members
+                    .iter()
+                    .map(|&m| mcfg.module.proc(m).name.as_str())
+                    .collect::<Vec<_>>()
+                    .join("+");
+                gov.record_quarantine(
+                    Stage::Solver,
+                    format!(
+                        "{names}: panic contained ({}); entry slots and \
+                         outgoing call contributions forced to ⊥",
+                        e.message
+                    ),
+                );
+                for &m in members {
+                    vals[m.index()].fill(Lattice::Bottom);
+                }
+                for &m in members {
+                    for edge in cg.calls_from(m) {
+                        if cg.scc_of[edge.callee.index()] == si {
+                            continue;
+                        }
+                        let n_fns = jump_fns.at(m, edge.site).len();
+                        let callee_vals = &mut vals[edge.callee.index()];
+                        let mut changed = false;
+                        for v in callee_vals.iter_mut().take(n_fns) {
+                            changed |= v.meet_in(Lattice::Bottom);
+                        }
+                        if changed {
+                            dirty[edge.callee.index()] = true;
                         }
                     }
-                    None => eval_unit_inplace_guarded(
-                        cg,
-                        jump_fns,
-                        config,
-                        members,
-                        si,
-                        &mut vals,
-                        &mut dirty,
-                        gov,
-                        &mut fold_scratch,
-                    ),
-                };
-            match unit {
-                Err(e) => {
-                    // Quarantine the whole SCC: a panic mid-fixpoint means
-                    // the members' values (and any contribution they would
-                    // have made) cannot be trusted to be post-fixpoint, so
-                    // everything the unit touches degrades to ⊥. Skipping
-                    // a call site's contribution instead would leave its
-                    // callee unsoundly optimistic.
-                    for &m in members {
-                        quarantined[m.index()] = true;
-                    }
-                    let names = members
-                        .iter()
-                        .map(|&m| mcfg.module.proc(m).name.as_str())
-                        .collect::<Vec<_>>()
-                        .join("+");
-                    gov.record_quarantine(
+                }
+            }
+            Ok(u) => {
+                meets += u.meets;
+                iterations += u.iterations;
+                if u.deadline {
+                    gov.record_deadline(
                         Stage::Solver,
                         format!(
-                            "{names}: panic contained ({}); entry slots and \
-                             outgoing call contributions forced to ⊥",
-                            e.message
+                            "deadline expired after {iterations} re-evaluations; \
+                             all reachable entry slots forced to ⊥"
                         ),
                     );
-                    for &m in members {
-                        vals[m.index()].fill(Lattice::Bottom);
-                    }
-                    for &m in members {
-                        for edge in cg.calls_from(m) {
-                            if cg.scc_of[edge.callee.index()] == si {
-                                continue;
-                            }
-                            let n_fns = jump_fns.at(m, edge.site).len();
-                            let callee_vals = &mut vals[edge.callee.index()];
-                            let mut changed = false;
-                            for v in callee_vals.iter_mut().take(n_fns) {
-                                changed |= v.meet_in(Lattice::Bottom);
-                            }
-                            if changed {
-                                dirty[edge.callee.index()] = true;
-                            }
-                        }
-                    }
+                    degrade_reachable(&mut vals, cg);
+                    break;
                 }
-                Ok(u) => {
-                    meets += u.meets;
-                    iterations += u.iterations;
-                    if u.deadline {
-                        gov.record_deadline(
-                            Stage::Solver,
-                            format!(
-                                "deadline expired after {iterations} re-evaluations; \
-                                 all reachable entry slots forced to ⊥"
-                            ),
-                        );
-                        degrade_reachable(&mut vals, cg);
-                        break 'levels;
-                    }
-                    if u.tripped {
-                        gov.record(
-                            Stage::Solver,
-                            format!(
-                                "iteration budget exhausted after {iterations} re-evaluations; \
-                                 all reachable entry slots forced to ⊥"
-                            ),
-                        );
-                        degrade_reachable(&mut vals, cg);
-                        break 'levels;
-                    }
+                if u.tripped {
+                    gov.record(
+                        Stage::Solver,
+                        format!(
+                            "iteration budget exhausted after {iterations} re-evaluations; \
+                             all reachable entry slots forced to ⊥"
+                        ),
+                    );
+                    degrade_reachable(&mut vals, cg);
+                    break;
                 }
             }
         }
     }
 
-    let time = if !pool.parallel() {
-        PhaseTime::sequential(t0.elapsed(), n_units)
-    } else {
-        PhaseTime {
-            wall: t0.elapsed(),
-            busy: par_time.busy,
-            workers: par_time.workers.max(1),
-            units: n_units,
-            absorbed: fold.absorbed,
-            replayed: fold.replayed,
-        }
-    };
     (
         ValSets {
             vals,
             meets,
             iterations,
         },
-        time,
+        PhaseTime::sequential(t0.elapsed(), n_units),
     )
 }
 
